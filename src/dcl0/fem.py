@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+from .ssn import factor_spd
 
 __all__ = [
     "TriMesh",
@@ -63,18 +64,23 @@ def _boundary_nodes(triangles, num_nodes):
     # boundary edges belong to exactly one triangle
     edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
                             triangles[:, [2, 0]]])
-    edges.sort(axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return np.unique(uniq[counts == 1])
+    # one integer key per undirected edge: min * N + max
+    keys = edges.min(axis=1).astype(np.int64) * num_nodes + edges.max(axis=1)
+    uniq, counts = np.unique(keys, return_counts=True)
+    single = uniq[counts == 1]
+    return np.unique(np.concatenate([single // num_nodes, single % num_nodes]))
 
 
 def _validate(nodes, triangles, h_target):
     num_nodes = nodes.shape[0]
     if triangles.size and (triangles.min() < 0 or triangles.max() >= num_nodes):
         raise MeshFormatError("triangle refers to a node index out of range")
-    for row in triangles:
-        if len(set(row.tolist())) != 3:
-            raise MeshFormatError(f"degenerate triangle with repeated node: {row}")
+    repeated = ((triangles[:, 0] == triangles[:, 1])
+                | (triangles[:, 1] == triangles[:, 2])
+                | (triangles[:, 2] == triangles[:, 0]))
+    if np.any(repeated):
+        row = triangles[np.argmax(repeated)]
+        raise MeshFormatError(f"degenerate triangle with repeated node: {row}")
     areas = _signed_areas(nodes, triangles)
     if np.any(areas <= 0.0):
         bad = int(np.argmin(areas))
@@ -98,18 +104,13 @@ def build_structured_mesh(n: int) -> TriMesh:
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(i, j):
-        return j * (n + 1) + i
-
-    tris = np.empty((2 * n * n, 3), dtype=int)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris[t] = (v00, v10, v11)
-            tris[t + 1] = (v00, v11, v01)
-            t += 2
+    # cell (i, j) holds triangles 2 (j n + i) and 2 (j n + i) + 1
+    j, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    v00 = (j * (n + 1) + i).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    lower = np.column_stack([v00, v10, v11])
+    upper = np.column_stack([v00, v11, v01])
+    tris = np.stack([lower, upper], axis=1).reshape(-1, 3)
     return _validate(nodes, tris, h_target=1.0 / n)
 
 
@@ -178,7 +179,11 @@ def read_field(path):
     if len(tokens) != 2 + count:
         raise MeshFormatError(f"field file announces {count} values, "
                               f"found {len(tokens) - 2}")
-    return np.array(tokens[2:], dtype=float)
+    values = np.array(tokens[2:], dtype=float)
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmin(np.isfinite(values)))
+        raise MeshFormatError(f"field value {bad} is not finite: {values[bad]}")
+    return values
 
 
 @dataclass
@@ -231,7 +236,7 @@ class FemSystem:
     def stiffness_solve(self, rhs):
         """Solve ``A x = rhs`` on the free dofs with a cached factorization."""
         if self._stiffness_lu is None:
-            self._stiffness_lu = spla.splu(self.A.tocsc())
+            self._stiffness_lu = factor_spd(self.A.tocsc())
         return self._stiffness_lu.solve(np.asarray(rhs, dtype=float))
 
 

@@ -141,13 +141,24 @@ def largest_k_greedy(x, space: DiscreteMeasureSpace, budget,
     # stable sort on -|x| keeps ascending index order within ties
     order = candidates[np.argsort(-absx[candidates], kind="stable")]
     slack = budget + BUDGET_RTOL * space.total_measure()
-    taken = []
-    used = 0.0
-    for i in order:
-        if used + lam[i] <= slack:
-            taken.append(i)
-            used += lam[i]
-    return _selection(taken, absx, lam, exact=False)
+    w = lam[order]
+    # the leading run that fits whole; cumsum adds in scan order, so each
+    # partial sum is the running total the scan below would hold
+    prefix = np.cumsum(w)
+    head = int(np.searchsorted(prefix, slack, side="right"))
+    used = float(prefix[head - 1]) if head else 0.0
+    # past the first misfit only atoms that fit the remaining slack are
+    # taken; none can once even the lightest atom overflows it
+    w_min = float(w.min(initial=np.inf))
+    extra = []
+    for k, wk in enumerate(w[head + 1:].tolist(), start=head + 1):
+        if used + w_min > slack:
+            break
+        if used + wk <= slack:
+            extra.append(k)
+            used += wk
+    return _selection(np.concatenate([order[:head], order[extra]]), absx, lam,
+                      exact=False)
 
 
 def _float_gcd(values, rtol=1e-9):

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
+    "factor_spd",
     "QuadraticOperator",
     "L1Weights",
     "SsnError",
@@ -44,13 +45,26 @@ class SsnError(RuntimeError):
     """Subproblem solver failure (singular system, iteration cap)."""
 
 
+def factor_spd(csc):
+    """Sparse LU factorization of a symmetric positive definite CSC matrix.
+
+    SuperLU runs in symmetric mode: a minimum-degree ordering of the
+    pattern of ``A' + A`` is applied to rows and columns alike and the
+    pivots are taken from the diagonal, which is stable for SPD matrices
+    and fills far less than the default unsymmetric column ordering.
+    """
+    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
 class QuadraticOperator:
     """Symmetric positive definite operator with principal-subsystem solves.
 
     Either wraps an explicit sparse matrix (principal systems are solved by
-    direct factorization plus one step of iterative refinement) or a
-    matrix-free action (principal systems fall back to conjugate gradients
-    on the restricted action, warm-started).
+    the symmetric minimum-degree factorization of :func:`factor_spd`, the
+    one the stiffness solves of ``dcl0.fem`` share, plus one step of
+    iterative refinement) or a matrix-free action (principal systems fall
+    back to conjugate gradients on the restricted action, warm-started).
     """
 
     def __init__(self, apply, n, explicit=None, cg_rtol=1e-12, cg_maxiter=None):
@@ -78,7 +92,7 @@ class QuadraticOperator:
         if self.explicit is not None:
             sub = self.explicit[active][:, active].tocsc()
             try:
-                lu = spla.splu(sub)
+                lu = factor_spd(sub)
             except RuntimeError as exc:
                 raise SsnError(f"singular principal system: {exc}") from exc
             x = lu.solve(rhs)

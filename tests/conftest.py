@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -37,3 +39,15 @@ def random_spd_operator(rng, n, **kwargs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def jittered_mesh(n, jitter=0.2, seed=0):
+    """Structured n x n mesh with every interior node moved by an independent
+    uniform offset of at most ``jitter / n`` per coordinate (seeded)."""
+    mesh = build_structured_mesh(n)
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
+    offsets = np.random.default_rng(seed).uniform(
+        -jitter / n, jitter / n, size=(interior.size, 2))
+    nodes[interior] += offsets
+    return dataclasses.replace(mesh, nodes=nodes)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dcl0.fem import (MeshFormatError, assemble, build_structured_mesh,
-                      export_mesh, import_mesh, read_field, write_field,
-                      w_of)
+from conftest import jittered_mesh
+from dcl0.fem import (MeshFormatError, _boundary_nodes, assemble,
+                      build_structured_mesh, export_mesh, import_mesh,
+                      read_field, write_field, w_of)
 from dcl0.measures import DiscreteMeasureSpace, weighted_l0, weighted_l1
 
 
@@ -57,6 +58,30 @@ class TestStructuredMesh:
         with pytest.raises(ValueError):
             build_structured_mesh(1)
 
+    def test_triangles_match_cell_loop(self):
+        # reference: cells row by row, two triangles per cell, so that
+        # assembly sums element contributions in the same order
+        for n in (2, 3, 7):
+            ref = []
+            for j in range(n):
+                for i in range(n):
+                    v00, v10 = j * (n + 1) + i, j * (n + 1) + i + 1
+                    v01, v11 = v00 + n + 1, v10 + n + 1
+                    ref += [(v00, v10, v11), (v00, v11, v01)]
+            assert np.array_equal(build_structured_mesh(n).triangles,
+                                  np.array(ref, dtype=int))
+
+    def test_boundary_nodes_match_row_unique(self):
+        mesh = jittered_mesh(9, seed=3)
+        edges = np.concatenate([mesh.triangles[:, [0, 1]],
+                                mesh.triangles[:, [1, 2]],
+                                mesh.triangles[:, [2, 0]]])
+        edges.sort(axis=1)
+        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        ref = np.unique(uniq[counts == 1])
+        assert np.array_equal(_boundary_nodes(mesh.triangles, mesh.num_nodes),
+                              ref)
+
 
 class TestMeshIO:
     def test_round_trip(self, tmp_path):
@@ -78,6 +103,13 @@ class TestMeshIO:
         path = tmp_path / "bad.txt"
         path.write_text("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 1\n")
         with pytest.raises(MeshFormatError):
+            import_mesh(path)
+
+    def test_repeated_node_names_first_bad_row(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("nodes 4\n0 0\n1 0\n0 1\n1 1\n"
+                        "triangles 3\n0 1 2\n1 3 3\n2 2 1\n")
+        with pytest.raises(MeshFormatError, match=r"\[1 3 3\]"):
             import_mesh(path)
 
     def test_inverted_triangle(self, tmp_path):
@@ -108,6 +140,13 @@ class TestMeshIO:
         path = tmp_path / "field.txt"
         path.write_text("field 3\n1.0\n2.0\n")
         with pytest.raises(MeshFormatError):
+            read_field(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_field_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "field.txt"
+        path.write_text(f"field 3\n1.0\n{bad}\n2.0\n")
+        with pytest.raises(MeshFormatError, match="value 1"):
             read_field(path)
 
 
@@ -192,6 +231,13 @@ class TestAssembly:
         value = 0.5 * float(u @ (system.A @ u)) - float(system.b @ u)
         assert value < 0.0
         assert np.max(np.abs(system.A @ u - system.b)) <= 1e-12
+
+    def test_stiffness_solve_residual(self, rng):
+        system = assemble(jittered_mesh(20, seed=5))
+        rhs = rng.standard_normal(system.num_free)
+        x = system.stiffness_solve(rhs)
+        assert (np.linalg.norm(system.A @ x - rhs)
+                <= 1e-12 * np.linalg.norm(rhs))
 
 
 class TestWOf:

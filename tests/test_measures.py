@@ -7,7 +7,7 @@ from dcl0.measures import (BUDGET_RTOL, DiscreteMeasureSpace, KSelection,
                            OracleLimitError, largest_k_exact, largest_k_greedy,
                            largest_k_relaxed, largest_k_auto,
                            reformulation_gap, subgradient_largest_k,
-                           weighted_l0, weighted_l1)
+                           weighted_l0, weighted_l1, ZERO_THRESHOLD)
 
 # three-atom counterexample data: measures (1, 2, 3), values (4, 4, 3)
 LAM = np.array([1.0, 2.0, 3.0])
@@ -111,6 +111,59 @@ class TestGreedy:
             greedy = largest_k_greedy(x, space, budget)
             exact = largest_k_exact(x, space, budget)
             assert greedy.value <= exact.value + 1e-12
+
+    def test_matches_reference_scan(self, rng):
+        # the plain scan that the vectorized prefix + early stop reproduces
+        def scan_order(x):
+            absx = np.abs(x)
+            candidates = np.flatnonzero(absx > ZERO_THRESHOLD)
+            return candidates[np.argsort(-absx[candidates], kind="stable")]
+
+        def reference(x, space, budget):
+            lam = space.weights
+            slack = budget + BUDGET_RTOL * space.total_measure()
+            taken, used = [], 0.0
+            for i in scan_order(x):
+                if used + lam[i] <= slack:
+                    taken.append(i)
+                    used += lam[i]
+            return np.sort(np.asarray(taken, dtype=int))
+
+        def budget_on_partial_sum(x, space):
+            # a budget whose slack equals a running total of the scan exactly
+            order = scan_order(x)
+            if order.size == 0:
+                return 0.0
+            target = np.cumsum(space.weights[order])[rng.integers(order.size)]
+            extra = BUDGET_RTOL * space.total_measure()
+            budget = target - extra
+            for _ in range(8):
+                if budget + extra == target:
+                    break
+                budget = np.nextafter(budget, np.inf if budget + extra < target
+                                      else -np.inf)
+            return float(min(max(budget, 0.0), space.total_measure()))
+
+        for case in range(180):
+            n = int(rng.integers(1, 400))
+            if case % 3 == 0:
+                lam = np.full(n, 1.0 / n)                     # equal measures
+            else:
+                lam = (1.0 + 0.4 * (rng.random(n) - 0.5)) / n  # jittered areas
+            x = rng.standard_normal(n)
+            if case % 2:
+                x = np.round(x, 1)                            # many ties
+            x[rng.random(n) < 0.1] = 0.0
+            space = DiscreteMeasureSpace(lam)
+            total = space.total_measure()
+            budget = [0.0, 1e-6, 0.25 * total, total, float(rng.random()) * total,
+                      budget_on_partial_sum(x, space)][case % 6]
+            sel = largest_k_greedy(x, space, budget)
+            idx = reference(x, space, budget)
+            assert np.array_equal(sel.indices, idx)
+            assert sel.value == (float(lam[idx] @ np.abs(x)[idx])
+                                 if idx.size else 0.0)
+            assert sel.weight == (float(lam[idx].sum()) if idx.size else 0.0)
 
 
 class TestExact:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_spd, random_spd_operator
+from conftest import jittered_mesh, random_spd, random_spd_operator
+from dcl0.fem import assemble
 from dcl0.ssn import (L1Weights, QuadraticOperator, SsnError, default_tau,
                       f_tau_residual, prox_grad_oracle, ssn_solve)
 
@@ -34,6 +35,21 @@ class TestQuadraticOperator:
         x_direct = explicit.solve_principal(active, rhs)
         x_cg = action.solve_principal(active, rhs)
         assert np.allclose(x_cg, x_direct, atol=1e-9)
+
+    def test_principal_solve_residual_on_jittered_stiffness(self, rng):
+        A = assemble(jittered_mesh(20, seed=5)).A
+        H = QuadraticOperator.from_matrix(A)
+        active = np.flatnonzero(rng.random(A.shape[0]) < 0.6)
+        rhs = rng.standard_normal(active.size)
+        x = H.solve_principal(active, rhs)
+        sub = A[active][:, active]
+        assert np.linalg.norm(sub @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_singular_principal_system_raises(self):
+        H = QuadraticOperator.from_matrix(sp.csr_matrix(np.array(
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])))
+        with pytest.raises(SsnError, match="singular principal system"):
+            H.solve_principal(np.array([0, 1]), np.ones(2))
 
     def test_norm_estimate_close_to_spectral_norm(self, rng):
         mat = random_spd(rng, 25)
