@@ -254,17 +254,14 @@ def cmd_sparsa(opts):
     cfg = SparsaConfig(beta=opts.beta, rel_tol=opts.rel_tol,
                        max_iter=opts.sparsa_max_iter)
     if opts.beta == 0.0:
-        u = problem.hessian.solve_principal(np.arange(system.num_free),
-                                            problem.q_smooth)
-        iters = 0
+        u_full, iters = problem.unconstrained_minimizer(), 0
     else:
-        u0 = system.restrict(read_field(opts.u0_file)) if opts.u0_file \
-            else problem.hessian.solve_principal(np.arange(system.num_free),
-                                                 problem.q_smooth)
+        u0 = read_field(opts.u0_file) if opts.u0_file \
+            else problem.unconstrained_minimizer()
         res = sparsa_solve(problem.hessian, problem.q_smooth,
-                           node_l1_weights(system, opts.beta), cfg, u0)
-        u, iters = res.u, res.iters
-    u_full = system.expand(u)
+                           node_l1_weights(system, opts.beta), cfg,
+                           system.restrict(u0))
+        u_full, iters = system.expand(res.u), res.iters
     elems = DiscreteMeasureSpace(system.elem_measure)
     w = w_of(u_full, system)
     sel = largest_k_auto(w, elems, opts.K)
@@ -284,7 +281,15 @@ SWEEP_SPEC.update({
 })
 
 
+#: options of COMMON_SPEC that a sweep has no single run to apply to
+SWEEP_UNSUPPORTED = ("verify", "iters_csv", "multiplier_out")
+
+
 def cmd_sweep(opts):
+    given = [name for name in SWEEP_UNSUPPORTED if getattr(opts, name)]
+    if given:
+        raise ConfigError("sweep does not support " + ", ".join(
+            "--" + name.replace("_", "-") for name in given))
     mesh = _mesh_from(opts)
     system = assemble(mesh, default_load)
     problem = poisson_prototype(system)
@@ -380,13 +385,15 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(opts)
-    except (ConfigError, ValueError) as exc:
-        print(f"dcl0: config error: {exc}", file=sys.stderr)
-        return 2
+    # MeshFormatError and OracleLimitError subclass ValueError: catch them
+    # before the configuration errors
     except (DcError, SsnError, SparsaError, OracleLimitError,
             MeshFormatError, OSError) as exc:
         print(f"dcl0: solver failure: {exc}", file=sys.stderr)
         return 1
+    except (ConfigError, ValueError) as exc:
+        print(f"dcl0: config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

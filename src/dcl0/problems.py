@@ -65,9 +65,9 @@ def poisson_prototype(system: FemSystem) -> ProblemDef:
         u = system.restrict(u_full)
         return system.expand(A @ u - b)
 
-    return ProblemDef(label="poisson", system=system,
-                      hessian=QuadraticOperator.from_matrix(A), q_smooth=b,
-                      smooth_value=value, smooth_grad=grad)
+    hessian = QuadraticOperator.from_matrix(A, full_solver=system.grid_solver)
+    return ProblemDef(label="poisson", system=system, hessian=hessian,
+                      q_smooth=b, smooth_value=value, smooth_grad=grad)
 
 
 @dataclass
@@ -95,8 +95,8 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
         0.5 |y - y_d|_M^2  +  alpha/2 |u|_M^2  +  beta/2 |u|_A^2
 
     with the desired state interpolated at the nodes.  Gradients come from
-    the adjoint equation; the Hessian action costs two solves with the
-    cached stiffness factorization.
+    the adjoint equation; the Hessian action costs two stiffness solves
+    (see :meth:`~dcl0.fem.FemSystem.stiffness_solve`).
     """
     cfg = cfg or ControlConfig()
     A, M = system.A, system.M
@@ -105,7 +105,8 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
         yd = np.asarray(cfg.y_d(xy[:, 0], xy[:, 1]), dtype=float)
     else:
         yd = system.restrict(cfg.y_d)
-    alpha, beta = cfg.alpha, cfg.beta
+    # the regularization alpha M + beta A, applied as one matrix
+    R = (cfg.alpha * M + cfg.beta * A).tocsr()
 
     def state(u):
         return system.stiffness_solve(M @ u)
@@ -113,17 +114,15 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
     def value(u_full):
         u = system.restrict(u_full)
         r = state(u) - yd
-        return 0.5 * float(r @ (M @ r)) + 0.5 * alpha * float(u @ (M @ u)) \
-            + 0.5 * beta * float(u @ (A @ u))
+        return 0.5 * float(r @ (M @ r)) + 0.5 * float(u @ (R @ u))
 
     def grad(u_full):
         u = system.restrict(u_full)
         adjoint = system.stiffness_solve(M @ (state(u) - yd))
-        return system.expand(M @ adjoint + alpha * (M @ u) + beta * (A @ u))
+        return system.expand(M @ adjoint + R @ u)
 
     def hess_action(v):
-        inner = system.stiffness_solve(M @ system.stiffness_solve(M @ v))
-        return M @ inner + alpha * (M @ v) + beta * (A @ v)
+        return M @ system.stiffness_solve(M @ state(v)) + R @ v
 
     def tracking_error(u_full):
         u = system.restrict(u_full)

@@ -21,7 +21,7 @@ from .fem import FemSystem, w_of
 from .measures import (DiscreteMeasureSpace, largest_k_auto, largest_k_exact,
                        largest_k_greedy, weighted_l0, weighted_l1)
 from .problems import ProblemDef
-from .ssn import L1Weights, default_tau, ssn_solve
+from .ssn import L1Weights, SsnError, default_tau, ssn_solve
 
 __all__ = ["L0PenaltyConfig", "L0Solution", "IterationRow",
            "OptimalityReport", "solve_l0_penalized", "optimality_report",
@@ -225,6 +225,11 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
                         tau=default_tau(warm, weights), tol=cfg.ssn_tol,
                         max_newton=cfg.ssn_max_newton, u0=warm,
                         tilt=s_full[free])
+        if not res.converged:
+            # dc_solve reports this as a DcError of the current sweep
+            raise SsnError(f"semismooth Newton stopped after {res.iters} "
+                           f"steps at residual {res.residual:.3e} "
+                           f"(tol {cfg.ssn_tol:g})")
         counters["newton"] += res.iters
         rows[-1].newton_iters = res.iters
         rows[-1].ssn_residual = res.residual

@@ -65,19 +65,27 @@ class QuadraticOperator:
     one the stiffness solves of ``dcl0.fem`` share, plus one step of
     iterative refinement) or a matrix-free action (principal systems fall
     back to conjugate gradients on the restricted action, warm-started).
+
+    ``full_solver``, if given, is called without arguments when every index
+    is active and returns a solver ``rhs -> H^{-1} rhs`` of the whole system,
+    or None to fall back to the factorization (which is freed after the
+    solve, as on every principal system).
     """
 
-    def __init__(self, apply, n, explicit=None, cg_rtol=1e-12, cg_maxiter=None):
+    def __init__(self, apply, n, explicit=None, cg_rtol=1e-12, cg_maxiter=None,
+                 full_solver=None):
         self.apply = apply
         self.n = n
         self.explicit = explicit
         self.cg_rtol = cg_rtol
         self.cg_maxiter = cg_maxiter
+        self.full_solver = full_solver
 
     @classmethod
-    def from_matrix(cls, H):
+    def from_matrix(cls, H, full_solver=None):
         H = sp.csr_matrix(H)
-        return cls(apply=lambda u: H @ u, n=H.shape[0], explicit=H)
+        return cls(apply=lambda u: H @ u, n=H.shape[0], explicit=H,
+                   full_solver=full_solver)
 
     @classmethod
     def from_action(cls, apply, n, **kwargs):
@@ -89,6 +97,11 @@ class QuadraticOperator:
         rhs = np.asarray(rhs, dtype=float)
         if active.size == 0:
             return np.zeros(0)
+        if (self.full_solver is not None and active.size == self.n
+                and np.array_equal(active, np.arange(self.n))):
+            solve = self.full_solver()
+            if solve is not None:
+                return solve(rhs)
         if self.explicit is not None:
             sub = self.explicit[active][:, active].tocsc()
             try:

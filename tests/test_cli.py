@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dcl0.cli import main
 from dcl0.fem import (assemble, build_structured_mesh, export_mesh,
@@ -101,6 +102,15 @@ class TestPoissonCommand:
     def test_missing_mesh_file_fails(self, tmp_path):
         assert run("poisson", "--mesh-file", str(tmp_path / "nope.txt")) == 1
 
+    @pytest.mark.parametrize("option, text", [
+        ("--mesh-file", "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n"),
+        ("--u0-file", "field 2\n1.0\nabc\n"),
+    ], ids=["clockwise-mesh", "unparsable-field"])
+    def test_malformed_input_file_fails(self, tmp_path, option, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert run("poisson", "--n", "4", option, str(path)) == 1
+
 
 class TestSparsaCommand:
     def test_baseline_run(self, tmp_path):
@@ -178,6 +188,14 @@ class TestSweepCommand:
         rhos = [float(dict(zip(header, ln.split(",")))["rho"])
                 for ln in lines[1:]]
         assert rhos == sorted(rhos) == [1e3, 1e6, 1e9]
+
+    @pytest.mark.parametrize("flag", ["--verify", "--iters-csv",
+                                      "--multiplier-out"])
+    def test_rejects_single_run_outputs(self, tmp_path, flag):
+        extra = [flag] if flag == "--verify" else [flag, str(tmp_path / "out")]
+        assert run("sweep", "--n", "8", "--rhos", "1e3,1e9",
+                   "--solution-out", str(tmp_path / "u.txt"), *extra) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conftest import jittered_mesh
-from dcl0.fem import (MeshFormatError, _boundary_nodes, assemble,
-                      build_structured_mesh, export_mesh, import_mesh,
-                      read_field, write_field, w_of)
+from dcl0.fem import (MeshFormatError, _boundary_nodes,
+                      _grid_laplacian_solver, assemble, build_structured_mesh,
+                      export_mesh, import_mesh, read_field, write_field, w_of)
 from dcl0.measures import DiscreteMeasureSpace, weighted_l0, weighted_l1
+from dcl0.problems import default_load, poisson_prototype
+from dcl0.ssn import factor_spd
 
 
 def triangle_quadrature(nodes, tri, f, order=5):
@@ -139,6 +144,14 @@ class TestMeshIO:
     def test_field_bad_count(self, tmp_path):
         path = tmp_path / "field.txt"
         path.write_text("field 3\n1.0\n2.0\n")
+        with pytest.raises(MeshFormatError):
+            read_field(path)
+
+    @pytest.mark.parametrize("text", ["field x\n1.0\n",
+                                      "field 2\n1.0\nabc\n"])
+    def test_field_parse_failure(self, tmp_path, text):
+        path = tmp_path / "field.txt"
+        path.write_text(text)
         with pytest.raises(MeshFormatError):
             read_field(path)
 
@@ -299,3 +312,68 @@ class TestWOf:
                 lhs = float(np.abs(u) @ system.basis_integral)
                 rhs = weighted_l1(w_of(u, system), elems) / 3.0
                 assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _no_factorization(*args, **kwargs):
+    raise AssertionError("unexpected sparse factorization")
+
+
+class TestGridSolver:
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_matches_factorization(self, n, rng):
+        system = assemble(build_structured_mesh(n))
+        assert system.grid_solver() is not None
+        rhs = rng.standard_normal(system.num_free)
+        x = system.stiffness_solve(rhs)
+        assert (np.linalg.norm(system.A @ x - rhs)
+                <= 1e-12 * np.linalg.norm(rhs))
+        reference = factor_spd(system.A.tocsc()).solve(rhs)
+        assert (np.max(np.abs(x - reference))
+                <= 1e-10 * np.max(np.abs(reference)))
+        assert system._stiffness_lu is None
+
+    def test_rejects_jittered_mesh_of_grid_size(self, rng):
+        system = assemble(jittered_mesh(24))
+        assert system.num_free == 23 ** 2
+        assert system.grid_solver() is None
+        rhs = rng.standard_normal(system.num_free)
+        x = system.stiffness_solve(rhs)
+        assert (np.linalg.norm(system.A @ x - rhs)
+                <= 1e-12 * np.linalg.norm(rhs))
+
+    def test_rejects_grid_with_one_moved_node(self):
+        mesh = build_structured_mesh(16)
+        nodes = mesh.nodes.copy()
+        nodes[8 * 17 + 8] += [0.01 / 16, 0.0]
+        system = assemble(dataclasses.replace(mesh, nodes=nodes))
+        assert system.grid_solver() is None
+
+    def test_rejects_off_diagonal_change(self):
+        # the diagonal is exactly 4, only the full stencil check can tell
+        A = assemble(build_structured_mesh(16)).A.copy()
+        A[0, 1] = A[1, 0] = -1.0 + 1e-9
+        assert _grid_laplacian_solver(A) is None
+
+    def test_accepts_rounding_level_stencil(self, rng):
+        A = assemble(build_structured_mesh(16)).A.copy()
+        A.data += 1e-15 * rng.choice([-1.0, 1.0], size=A.data.size)
+        assert _grid_laplacian_solver(A) is not None
+
+    def test_grid_solves_do_not_factor(self, monkeypatch, rng):
+        system = assemble(build_structured_mesh(16), default_load)
+        problem = poisson_prototype(system)
+        assert system._grid is None  # nothing detected at construction
+        monkeypatch.setattr(spla, "splu", _no_factorization)
+        u = system.restrict(problem.unconstrained_minimizer())
+        assert (np.linalg.norm(system.A @ u - system.b)
+                <= 1e-12 * np.linalg.norm(system.b))
+        system.stiffness_solve(rng.standard_normal(system.num_free))
+
+    def test_jittered_full_solve_frees_factorization(self):
+        system = assemble(jittered_mesh(24), default_load)
+        problem = poisson_prototype(system)
+        u = system.restrict(problem.unconstrained_minimizer())
+        assert (np.linalg.norm(system.A @ u - system.b)
+                <= 1e-12 * np.linalg.norm(system.b))
+        assert system._stiffness_lu is None
+        assert system.grid_solver() is None

@@ -120,6 +120,13 @@ class TestSchedule:
         assert all(reached[i] or i + 1 < len(reached)
                    for i in range(len(reached)))
 
+    def test_unconverged_subproblem_is_an_error(self, setup16):
+        problem, system = setup16
+        cfg = L0PenaltyConfig(K=0.25, rho=1e9, schedule_lambda=0.9,
+                              ssn_max_newton=1)
+        with pytest.raises(DcError, match="semismooth Newton stopped"):
+            solve_l0_penalized(problem, system, cfg)
+
     def test_schedule_needs_iterations(self, setup16):
         problem, system = setup16
         cfg = L0PenaltyConfig(K=0.25, rho=1e9, schedule_lambda=0.9,
