@@ -251,16 +251,16 @@ def cmd_sparsa(opts):
     mesh = _mesh_from(opts)
     system = assemble(mesh, default_load)
     problem = poisson_prototype(system)
-    cfg = SparsaConfig(beta=opts.beta, rel_tol=opts.rel_tol,
-                       max_iter=opts.sparsa_max_iter)
+    cfg = SparsaConfig(rel_tol=opts.rel_tol, max_iter=opts.sparsa_max_iter)
+    # read and length-check the start point even where beta = 0 ignores it
+    u0 = system.restrict(read_field(opts.u0_file)) if opts.u0_file else None
     if opts.beta == 0.0:
         u_full, iters = problem.unconstrained_minimizer(), 0
     else:
-        u0 = read_field(opts.u0_file) if opts.u0_file \
-            else problem.unconstrained_minimizer()
+        if u0 is None:
+            u0 = system.restrict(problem.unconstrained_minimizer())
         res = sparsa_solve(problem.hessian, problem.q_smooth,
-                           node_l1_weights(system, opts.beta), cfg,
-                           system.restrict(u0))
+                           node_l1_weights(system, opts.beta), cfg, u0)
         u_full, iters = system.expand(res.u), res.iters
     elems = DiscreteMeasureSpace(system.elem_measure)
     w = w_of(u_full, system)

@@ -208,14 +208,22 @@ class _GridLaplacianSolver:
     Each DST-I is a real FFT of the odd extension of length ``2(m+1)``;
     ``numpy.fft`` is already loaded, where ``scipy.fft`` would cost an
     import of ``scipy.special`` on first use.
+
+    ``eigenvalues[k-1, l-1]`` holds ``lam_kl`` and ``cosines[k-1]`` holds
+    ``cos(k pi / (m+1))``, half the eigenvalues of ``tridiag(1, 0, 1)``, so
+    that callers can build other operators of the same sine basis
+    (:meth:`sine_diagonal`).
     """
 
     def __init__(self, m):
         self.m = m
-        s = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+        k = np.arange(1, m + 1)
+        s = 4.0 * np.sin(k * (np.pi / (2 * (m + 1)))) ** 2
+        self.eigenvalues = s[:, None] + s[None, :]
+        self.cosines = np.cos(k * (np.pi / (m + 1)))
         # with S[n, k] = sin(pi n k / (m+1)), two passes of _dst_rows apply
         # 4 (S (x) S) and A^-1 = (2 / (m+1))^2 (S (x) S) lam^-1 (S (x) S)
-        self._scale = 1.0 / (4.0 * (m + 1) ** 2 * (s[:, None] + s[None, :]))
+        self._scale = 1.0 / (4.0 * (m + 1) ** 2 * self.eigenvalues)
         self._ext = np.zeros((m, 2 * (m + 1)))
 
     def _dst_rows(self, x):
@@ -226,10 +234,22 @@ class _GridLaplacianSolver:
         np.negative(x[:, ::-1], out=ext[:, m + 2:])
         return np.fft.rfft(ext, axis=1).imag[:, 1:m + 1].T
 
-    def __call__(self, rhs):
+    def _transform(self, scale, rhs):
         y = self._dst_rows(self._dst_rows(rhs.reshape(self.m, self.m)))
-        y *= self._scale
+        y *= scale
         return self._dst_rows(self._dst_rows(y)).ravel()
+
+    def __call__(self, rhs):
+        return self._transform(self._scale, rhs)
+
+    def sine_diagonal(self, symbol):
+        """The operator ``rhs -> V diag(symbol) V' rhs`` of the orthonormal
+        2-D sine basis ``V``; ``symbol[k-1, l-1]`` is its value on the basis
+        vector of frequency k in the row index and l in the column index
+        (eigenvalue ``lam_kl``), so ``symbol = 1 / eigenvalues`` gives
+        ``A^-1``."""
+        scale = np.asarray(symbol, dtype=float) / (4.0 * (self.m + 1) ** 2)
+        return lambda rhs: self._transform(scale, rhs)
 
 
 def _grid_laplacian_solver(A):

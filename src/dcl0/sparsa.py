@@ -35,7 +35,6 @@ class SparsaConfig:
     alpha_max: float = 1e20
     rel_tol: float = 1e-5
     max_iter: int = 20_000
-    beta: float = None  # L1 penalty factor, used by callers building weights
 
 
 @dataclass
@@ -60,7 +59,7 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
     w = np.asarray(l1_weights, dtype=float)
     u = np.asarray(u0, dtype=float).copy()
 
-    def phi(v, grad_at=None):
+    def phi(v):
         Hv = H.apply(v)
         return 0.5 * float(v @ Hv) - float(q @ v) + float(w @ np.abs(v)), Hv
 

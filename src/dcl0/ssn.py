@@ -64,22 +64,30 @@ class QuadraticOperator:
     the symmetric minimum-degree factorization of :func:`factor_spd`, the
     one the stiffness solves of ``dcl0.fem`` share, plus one step of
     iterative refinement) or a matrix-free action (principal systems fall
-    back to conjugate gradients on the restricted action, warm-started).
+    back to conjugate gradients on the restricted action, warm-started and
+    optionally preconditioned).
 
     ``full_solver``, if given, is called without arguments when every index
     is active and returns a solver ``rhs -> H^{-1} rhs`` of the whole system,
     or None to fall back to the factorization (which is freed after the
     solve, as on every principal system).
+
+    ``preconditioner``, if given, is a symmetric positive definite
+    approximation ``v -> P v`` of ``H^{-1}`` on full-length vectors.  The
+    conjugate gradients of a principal system use its principal block
+    ``P[active, active]`` (zero-extend, apply, restrict), which is again
+    symmetric positive definite; the stopping tolerance is unchanged.
     """
 
     def __init__(self, apply, n, explicit=None, cg_rtol=1e-12, cg_maxiter=None,
-                 full_solver=None):
+                 full_solver=None, preconditioner=None):
         self.apply = apply
         self.n = n
         self.explicit = explicit
         self.cg_rtol = cg_rtol
         self.cg_maxiter = cg_maxiter
         self.full_solver = full_solver
+        self.preconditioner = preconditioner
 
     @classmethod
     def from_matrix(cls, H, full_solver=None):
@@ -112,16 +120,20 @@ class QuadraticOperator:
             x += lu.solve(rhs - sub @ x)
             return x
 
-        def restricted(v):
-            full = np.zeros(self.n)
-            full[active] = v
-            return self.apply(full)[active]
+        def restricted(fn):
+            def matvec(v):
+                full = np.zeros(self.n)
+                full[active] = v
+                return fn(full)[active]
+            return spla.LinearOperator((active.size, active.size),
+                                       matvec=matvec, dtype=float)
 
-        op = spla.LinearOperator((active.size, active.size),
-                                 matvec=restricted, dtype=float)
+        precondition = (None if self.preconditioner is None
+                        else restricted(self.preconditioner))
         maxiter = self.cg_maxiter or max(2000, 20 * active.size)
-        x, info = spla.cg(op, rhs, x0=x0, rtol=self.cg_rtol, atol=0.0,
-                          maxiter=maxiter)
+        x, info = spla.cg(restricted(self.apply), rhs, x0=x0,
+                          rtol=self.cg_rtol, atol=0.0, maxiter=maxiter,
+                          M=precondition)
         if info > 0:
             raise SsnError(f"conjugate gradients stalled after {info} iterations")
         if info < 0:

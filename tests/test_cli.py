@@ -132,6 +132,13 @@ class TestSparsaCommand:
         values = dict(zip(header.split(","), row.split(",")))
         assert int(values["iters"]) == 0
 
+    @pytest.mark.parametrize("beta", ["0", "4.360"])
+    def test_rejects_short_start_field(self, tmp_path, beta):
+        path = tmp_path / "u0.txt"
+        write_field(path, [0.0, 1.0, 2.0])
+        assert run("sparsa", "--n", "8", "--beta", beta,
+                   "--u0-file", str(path)) == 2
+
     def test_feeds_dc_warm_start(self, tmp_path):
         sol = tmp_path / "sp_sol.txt"
         assert run("sparsa", "--n", "8", "--beta", "4.360",

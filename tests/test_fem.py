@@ -332,6 +332,36 @@ class TestGridSolver:
                 <= 1e-10 * np.max(np.abs(reference)))
         assert system._stiffness_lu is None
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_sine_diagonal_of_inverse_eigenvalues_solves(self, n, rng):
+        grid = assemble(build_structured_mesh(n)).grid_solver()
+        rhs = rng.standard_normal(grid.m ** 2)
+        x = grid.sine_diagonal(1.0 / grid.eigenvalues)(rhs)
+        reference = grid(rhs)
+        assert (np.max(np.abs(x - reference))
+                <= 1e-14 * np.max(np.abs(reference)))
+
+    def test_sine_diagonal_in_explicit_basis(self, rng):
+        # V diag(d) V' against the explicit orthonormal sine basis V, which
+        # also diagonalizes A and tridiag(1, 0, 1) with the stored values
+        system = assemble(build_structured_mesh(6))
+        grid = system.grid_solver()
+        m = grid.m
+        k = np.arange(1, m + 1)
+        S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+        V = np.kron(S, S)
+        symbol = rng.uniform(0.5, 2.0, size=(m, m))
+        apply = grid.sine_diagonal(symbol)
+        dense = np.column_stack([apply(e) for e in np.eye(m * m)])
+        assert np.allclose(dense, V @ np.diag(symbol.ravel()) @ V.T,
+                           rtol=0.0, atol=1e-14)
+        assert np.allclose(V.T @ system.A.toarray() @ V,
+                           np.diag(grid.eigenvalues.ravel()),
+                           rtol=0.0, atol=1e-13)
+        shift = np.eye(m, k=1) + np.eye(m, k=-1)
+        assert np.allclose(S.T @ shift @ S, np.diag(2.0 * grid.cosines),
+                           rtol=0.0, atol=1e-14)
+
     def test_rejects_jittered_mesh_of_grid_size(self, rng):
         system = assemble(jittered_mesh(24))
         assert system.num_free == 23 ** 2

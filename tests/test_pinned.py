@@ -27,11 +27,18 @@ def control_grid():
     return control_reduced(system, ControlConfig()), system, None
 
 
+def control_grid_64():
+    system = assemble(build_structured_mesh(64))
+    return control_reduced(system, ControlConfig()), system, None
+
+
 # case, objective, l0, dc_iters
 PINNED = [
     (poisson_grid, -0.007245442889798899, 0.23779296875, 2),
     (poisson_jitter_schedule, -0.017436447070982995, 0.24731888534066798, 14),
     (control_grid, 0.013076190661704692, 0.20703125, 2),
+    # recorded with unpreconditioned conjugate gradients
+    (control_grid_64, 0.011394769021735111, 0.244384765625, 2),
 ]
 
 

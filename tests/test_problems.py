@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import jittered_mesh
 from dcl0.fem import assemble, build_structured_mesh
 from dcl0.problems import (ControlConfig, control_reduced, default_load,
                            poisson_prototype)
+from dcl0.ssn import QuadraticOperator
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +111,86 @@ class TestControlReduced:
     def test_beta_defaults_to_alpha(self):
         cfg = ControlConfig(alpha=1e-5)
         assert cfg.beta == 1e-5
+
+
+def counting_hessian(problem):
+    """Wrap the Hessian action of ``problem`` with a call counter."""
+    calls = [0]
+    action = problem.hessian.apply
+
+    def counted(v):
+        calls[0] += 1
+        return action(v)
+
+    problem.hessian.apply = counted
+    return calls
+
+
+def restricted_residual(problem, active, x, rhs):
+    full = np.zeros(problem.hessian.n)
+    full[active] = x
+    return (np.linalg.norm(problem.hessian.apply(full)[active] - rhs)
+            / np.linalg.norm(rhs))
+
+
+class TestGridPreconditioner:
+    def test_sine_diagonal_of_hessian_parts(self):
+        # the preconditioner is V diag(1 / (mu^3/lam^2 + alpha mu + beta lam))
+        # V' with lam and mu the sine-basis diagonals of A and M
+        system = assemble(build_structured_mesh(8))
+        cfg = ControlConfig(alpha=1e-3, beta=1e-4)
+        P = control_reduced(system, cfg).hessian.preconditioner
+        n = system.num_free
+        dense = np.column_stack([P(e) for e in np.eye(n)])
+        m = 7
+        k = np.arange(1, m + 1)
+        S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+        V = np.kron(S, S)
+        lam = np.diag(V.T @ system.A.toarray() @ V)
+        mu = np.diag(V.T @ system.M.toarray() @ V)
+        symbol = 1.0 / (mu ** 3 / lam ** 2 + cfg.alpha * mu + cfg.beta * lam)
+        expected = V @ np.diag(symbol) @ V.T
+        assert (np.max(np.abs(dense - expected))
+                <= 1e-12 * np.max(np.abs(expected)))
+        assert np.min(np.linalg.eigvalsh(0.5 * (dense + dense.T))) > 0.0
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("subset", ["full", "quarter"])
+    def test_matches_plain_cg(self, n, subset):
+        system = assemble(build_structured_mesh(n))
+        problem = control_reduced(system, ControlConfig())
+        assert problem.hessian.preconditioner is not None
+        plain = QuadraticOperator.from_action(problem.hessian.apply,
+                                              n=system.num_free)
+        rng = np.random.default_rng(n)
+        active = np.arange(system.num_free)
+        if subset == "quarter":
+            active = np.sort(rng.choice(active, size=active.size // 4,
+                                        replace=False))
+        rhs = rng.standard_normal(active.size)
+        x = problem.hessian.solve_principal(active, rhs)
+        reference = plain.solve_principal(active, rhs)
+        assert (np.linalg.norm(x - reference)
+                <= 1e-10 * np.linalg.norm(reference))
+        assert restricted_residual(problem, active, x, rhs) <= 1e-12
+
+    def test_full_solve_takes_few_hessian_actions(self):
+        # unpreconditioned CG takes 57 actions here, the sine-basis
+        # preconditioner 6
+        system = assemble(build_structured_mesh(32))
+        problem = control_reduced(system, ControlConfig())
+        calls = counting_hessian(problem)
+        u = system.restrict(problem.unconstrained_minimizer())
+        assert calls[0] <= 10
+        everything = np.arange(system.num_free)
+        assert restricted_residual(problem, everything, u,
+                                   problem.q_smooth) <= 1e-12
+
+    def test_off_grid_plain_cg(self):
+        system = assemble(jittered_mesh(24))
+        problem = control_reduced(system, ControlConfig())
+        assert problem.hessian.preconditioner is None
+        u = system.restrict(problem.unconstrained_minimizer())
+        everything = np.arange(system.num_free)
+        assert restricted_residual(problem, everything, u,
+                                   problem.q_smooth) <= 1e-12
