@@ -1,18 +1,7 @@
 """DC solver for support-measure (L0) constrained quadratic problems."""
 
-from .dc import DcProblem, DcState, dc_solve, criticality_residual
-from .fem import (TriMesh, FemSystem, assemble, build_structured_mesh,
-                  export_mesh, import_mesh, read_field, write_field, w_of)
-from .measures import (DiscreteMeasureSpace, KSelection, weighted_l0,
-                       weighted_l1, largest_k_greedy, largest_k_exact,
-                       largest_k_relaxed, largest_k_auto, reformulation_gap,
-                       subgradient_largest_k)
-from .problems import (ControlConfig, ProblemDef, control_reduced,
-                       poisson_prototype)
-from .solver import (L0PenaltyConfig, L0Solution, OptimalityReport,
-                     optimality_report, penalty_sweep, solve_l0_penalized)
-from .sparsa import SparsaConfig, SparsaResult, node_l1_weights, sparsa_solve
-from .ssn import (L1Weights, QuadraticOperator, SsnResult, f_tau_residual,
-                  prox_grad_oracle, ssn_solve)
+from .fem import assemble, build_structured_mesh
+from .problems import poisson_prototype
+from .solver import L0PenaltyConfig, solve_l0_penalized
 
 __version__ = "0.1.0"

@@ -11,15 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .dc import DcError
+# w_of and largest_k_auto are not called here: perfbench/spans.py patches them
 from .fem import (MeshFormatError, assemble, build_structured_mesh,
                   import_mesh, read_field, w_of, write_field)
-from .measures import (DiscreteMeasureSpace, OracleLimitError, largest_k_auto,
-                       weighted_l0, weighted_l1)
+from .measures import OracleLimitError, largest_k_auto
 from .problems import ControlConfig, control_reduced, default_load, poisson_prototype
-from .solver import L0PenaltyConfig, penalty_sweep, solve_l0_penalized
+from .solver import (L0PenaltyConfig, penalty_sweep, scaled_gradient,
+                     solve_l0_penalized, support_metrics)
 from .sparsa import SparsaConfig, SparsaError, node_l1_weights, sparsa_solve
 from .ssn import SsnError
 
@@ -98,23 +97,12 @@ def _mesh_from(opts):
     return build_structured_mesh(opts.n)
 
 
-def _scaled_gradient(problem, system, u):
-    grad = problem.smooth_grad(u)
-    out = np.zeros_like(grad)
-    free = system.free_nodes
-    out[free] = grad[free] / system.patch_measure[free]
-    return out
-
-
-def _solver_config(opts, total_measure, u0_vector=None):
+def _solver_config(opts, total_measure):
     policy = opts.u0
     u0 = None
     if getattr(opts, "u0_file", None):
         policy = "custom"
         u0 = read_field(opts.u0_file)
-    elif u0_vector is not None:
-        policy = "custom"
-        u0 = u0_vector
     cfg = L0PenaltyConfig(K=opts.K, rho=opts.rho,
                           schedule_lambda=opts.schedule,
                           zero_sign_policy=opts.zero_sign,
@@ -136,21 +124,30 @@ def _write_fields(opts, problem, system, u):
     if getattr(opts, "solution_out", None):
         write_field(opts.solution_out, u)
     if getattr(opts, "multiplier_out", None):
-        write_field(opts.multiplier_out, _scaled_gradient(problem, system, u))
+        write_field(opts.multiplier_out,
+                    scaled_gradient(problem.smooth_grad(u), system))
+
+
+#: verification tolerance: absolute on l0, relative to max(l1, 1) on the gap
+VERIFY_TOL = 1e-9
+
+
+def _recheck_field(path, system, K, reported_l0, reported_gap):
+    """Recompute l0 and gap from a written solution field and compare them
+    with the reported values; returns ``(ok, l0, gap)``."""
+    l0, gap, sel = support_metrics(read_field(path), system, K)
+    scale = max(gap + sel.value, 1.0)
+    ok = (abs(l0 - reported_l0) <= VERIFY_TOL
+          and abs(gap - reported_gap) <= VERIFY_TOL * scale)
+    return ok, l0, gap
 
 
 def _self_check(opts, system, reported_l0, reported_gap):
     """Re-derive l0 and gap from the emitted solution field."""
-    if not (opts.verify and getattr(opts, "solution_out", None)):
+    if not opts.verify:
         return True
-    u = read_field(opts.solution_out)
-    elems = DiscreteMeasureSpace(system.elem_measure)
-    w = w_of(u, system)
-    sel = largest_k_auto(w, elems, opts.K)
-    gap = weighted_l1(w, elems) - sel.value
-    l0 = weighted_l0(w, elems)
-    scale = max(weighted_l1(w, elems), 1.0)
-    ok = abs(l0 - reported_l0) <= 1e-9 and abs(gap - reported_gap) <= 1e-9 * scale
+    ok, l0, gap = _recheck_field(opts.solution_out, system, opts.K,
+                                 reported_l0, reported_gap)
     if not ok:
         print(f"verify: mismatch (l0 {l0} vs {reported_l0}, "
               f"gap {gap} vs {reported_gap})", file=sys.stderr)
@@ -167,7 +164,6 @@ COMMON_SPEC = {
     "u0": (str, "unconstrained_solve"),
     "u0_file": (str, None),
     "max_iter": (int, 500),
-    "seed": (int, 0),
     "csv": (str, None),
     "iters_csv": (str, None),
     "solution_out": (str, None),
@@ -183,9 +179,9 @@ def cmd_poisson(opts):
     cfg = _solver_config(opts, float(system.elem_measure.sum()))
     sol = solve_l0_penalized(problem, system, cfg)
 
-    header = ["n", "K", "rho", "seed", "f", "l0", "gap", "dc_iters",
-              "ssn_iters", "selection_mode"]
-    row = [opts.n, opts.K, opts.rho, opts.seed, sol.objective, sol.l0,
+    header = ["n", "K", "rho", "f", "l0", "gap", "dc_iters", "ssn_iters",
+              "selection_mode"]
+    row = [opts.n, opts.K, opts.rho, sol.objective, sol.l0,
            sol.gap, sol.dc_iters, sol.newton_iters,
            "exact" if sol.gap_selection_exact else "greedy"]
     if opts.schedule is not None:
@@ -212,8 +208,9 @@ def cmd_control(opts):
     betas = opts.betas if opts.betas else [opts.beta if opts.beta is not None
                                            else opts.alpha]
     y_d = read_field(opts.y_d_file) if opts.y_d_file else None
+    cfg = _solver_config(opts, float(system.elem_measure.sum()))
 
-    header = ["n", "K", "rho", "seed", "alpha", "beta", "f", "l0", "gap",
+    header = ["n", "K", "rho", "alpha", "beta", "f", "l0", "gap",
               "tracking_error", "dc_iters", "ssn_iters", "selection_mode"]
     if opts.schedule is not None:
         header += ["schedule_lambda", "sched_steps"]
@@ -222,9 +219,8 @@ def cmd_control(opts):
     for beta in betas:
         ctrl = ControlConfig(alpha=opts.alpha, beta=beta, y_d=y_d)
         problem = control_reduced(system, ctrl)
-        cfg = _solver_config(opts, float(system.elem_measure.sum()))
         sol = solve_l0_penalized(problem, system, cfg)
-        row = [opts.n, opts.K, opts.rho, opts.seed, opts.alpha, beta,
+        row = [opts.n, opts.K, opts.rho, opts.alpha, beta,
                sol.objective, sol.l0, sol.gap,
                problem.tracking_error(sol.u), sol.dc_iters, sol.newton_iters,
                "exact" if sol.gap_selection_exact else "greedy"]
@@ -262,17 +258,13 @@ def cmd_sparsa(opts):
         res = sparsa_solve(problem.hessian, problem.q_smooth,
                            node_l1_weights(system, opts.beta), cfg, u0)
         u_full, iters = system.expand(res.u), res.iters
-    elems = DiscreteMeasureSpace(system.elem_measure)
-    w = w_of(u_full, system)
-    sel = largest_k_auto(w, elems, opts.K)
-    gap = weighted_l1(w, elems) - sel.value
-    f_val = problem.smooth_value(u_full)
-    header = ["n", "K", "beta", "seed", "f", "l0", "gap", "iters"]
-    row = [opts.n, opts.K, opts.beta, opts.seed, f_val,
-           weighted_l0(w, elems), gap, iters]
+    l0, gap, _ = support_metrics(u_full, system, opts.K)
+    header = ["n", "K", "beta", "f", "l0", "gap", "iters"]
+    row = [opts.n, opts.K, opts.beta, problem.smooth_value(u_full), l0, gap,
+           iters]
     _write_csv(opts.csv, header, [row])
     _write_fields(opts, problem, system, u_full)
-    return 0 if _self_check(opts, system, weighted_l0(w, elems), gap) else 1
+    return 0 if _self_check(opts, system, l0, gap) else 1
 
 
 SWEEP_SPEC = dict(COMMON_SPEC)
@@ -286,18 +278,14 @@ SWEEP_UNSUPPORTED = ("verify", "iters_csv", "multiplier_out")
 
 
 def cmd_sweep(opts):
-    given = [name for name in SWEEP_UNSUPPORTED if getattr(opts, name)]
-    if given:
-        raise ConfigError("sweep does not support " + ", ".join(
-            "--" + name.replace("_", "-") for name in given))
     mesh = _mesh_from(opts)
     system = assemble(mesh, default_load)
     problem = poisson_prototype(system)
     cfg = _solver_config(opts, float(system.elem_measure.sum()))
     solutions = penalty_sweep(problem, system, cfg, opts.rhos)
-    header = ["n", "K", "rho", "seed", "f", "l0", "gap", "dc_iters",
-              "ssn_iters", "selection_mode"]
-    rows = [[opts.n, opts.K, rho, opts.seed, sol.objective, sol.l0, sol.gap,
+    header = ["n", "K", "rho", "f", "l0", "gap", "dc_iters", "ssn_iters",
+              "selection_mode"]
+    rows = [[opts.n, opts.K, rho, sol.objective, sol.l0, sol.gap,
              sol.dc_iters, sol.newton_iters,
              "exact" if sol.gap_selection_exact else "greedy"]
             for rho, sol in zip(opts.rhos, solutions)]
@@ -319,21 +307,17 @@ VERIFY_SPEC = {
 def cmd_verify(opts):
     if not opts.csv or not opts.solution_out:
         raise ConfigError("verify needs --csv and --solution-out")
-    mesh = _mesh_from(opts)
-    system = assemble(mesh)
-    u = read_field(opts.solution_out)
     with open(opts.csv) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    row = dict(zip(header, lines[-1].split(",")))
-    elems = DiscreteMeasureSpace(system.elem_measure)
-    w = w_of(u, system)
-    sel = largest_k_auto(w, elems, opts.K)
-    gap = weighted_l1(w, elems) - sel.value
-    l0 = weighted_l0(w, elems)
-    scale = max(weighted_l1(w, elems), 1.0)
-    ok = (abs(l0 - float(row["l0"])) <= 1e-9
-          and abs(gap - float(row["gap"])) <= 1e-9 * scale)
+    if len(lines) < 2:
+        raise ConfigError(f"{opts.csv}: expected a header and a data row")
+    row = dict(zip(lines[0].split(","), lines[-1].split(",")))
+    missing = [name for name in ("l0", "gap") if name not in row]
+    if missing:
+        raise ConfigError(f"{opts.csv}: no {' or '.join(missing)} column")
+    system = assemble(_mesh_from(opts))
+    ok, l0, gap = _recheck_field(opts.solution_out, system, opts.K,
+                                 float(row["l0"]), float(row["gap"]))
     print(f"l0 recomputed {l0:.12g} reported {row['l0']}; "
           f"gap recomputed {gap:.12g} reported {row['gap']}: "
           f"{'OK' if ok else 'MISMATCH'}")
@@ -373,6 +357,17 @@ COMMANDS = {
 }
 
 
+def _check_outputs(command, opts):
+    """Reject output options that the command cannot honour."""
+    if command == "sweep":
+        given = [name for name in SWEEP_UNSUPPORTED if getattr(opts, name)]
+        if given:
+            raise ConfigError("sweep does not support " + ", ".join(
+                "--" + name.replace("_", "-") for name in given))
+    elif getattr(opts, "verify", False) and not opts.solution_out:
+        raise ConfigError(f"{command} --verify needs --solution-out")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run, spec = COMMANDS[args.command]
@@ -380,6 +375,7 @@ def main(argv=None) -> int:
         opts = _resolve(args, spec)
         if not getattr(opts, "mesh_file", None) and getattr(opts, "n", 2) < 2:
             raise ConfigError("mesh resolution must be at least 2")
+        _check_outputs(args.command, opts)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"dcl0: config error: {exc}", file=sys.stderr)
         return 2

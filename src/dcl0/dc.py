@@ -60,13 +60,6 @@ class DcState:
     def objectives(self):
         return np.array([rec.objective for rec in self.history])
 
-    def max_ascent(self):
-        """Largest increase between consecutive objective values."""
-        vals = self.objectives
-        if vals.size < 2:
-            return 0.0
-        return float(np.max(np.diff(vals), initial=0.0))
-
 
 def dc_solve(problem: DcProblem, u0, max_iter=500, fixed_point_tol=0.0,
              residual_budget=None, iteration_hook=None,

@@ -294,7 +294,6 @@ class FemSystem:
     patch_measure: np.ndarray
     basis_integral: np.ndarray
     free_nodes: np.ndarray
-    node_to_free: np.ndarray
     _stiffness_lu: object = field(default=None, repr=False)
     # None: not checked yet; False: A is not a grid Laplacian
     _grid: object = field(default=None, repr=False)
@@ -390,15 +389,13 @@ def assemble(mesh: TriMesh, g=None) -> FemSystem:
     basis_integral = patch_measure / 3.0
 
     free = np.setdiff1d(np.arange(num_nodes), mesh.boundary_nodes)
-    node_to_free = np.full(num_nodes, -1)
-    node_to_free[free] = np.arange(free.size)
     A = A_full[free][:, free].tocsr()
     M = M_full[free][:, free].tocsr()
     return FemSystem(mesh=mesh, A=A, M=M, b=b_full[free],
                      A_full=A_full, M_full=M_full, b_full=b_full,
                      incidence=incidence, elem_measure=areas,
                      patch_measure=patch_measure, basis_integral=basis_integral,
-                     free_nodes=free, node_to_free=node_to_free)
+                     free_nodes=free)
 
 
 def w_of(u, system: FemSystem):

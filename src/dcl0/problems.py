@@ -132,7 +132,7 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
         return float(np.sqrt(r @ (M @ r)))
 
     q_smooth = M @ system.stiffness_solve(M @ yd)
-    hessian = QuadraticOperator.from_action(
+    hessian = QuadraticOperator(
         hess_action, n=system.num_free,
         preconditioner=_grid_hessian_inverse(system, cfg))
     return ProblemDef(label="control", system=system, hessian=hessian,

@@ -18,17 +18,22 @@ import numpy as np
 
 from . import dc
 from .fem import FemSystem, w_of
-from .measures import (DiscreteMeasureSpace, largest_k_auto, largest_k_exact,
-                       largest_k_greedy, weighted_l0, weighted_l1)
+from .measures import (BUDGET_RTOL, ZERO_THRESHOLD, DiscreteMeasureSpace,
+                       KSelection, largest_k_auto, largest_k_exact,
+                       largest_k_greedy, subgradient_largest_k, weighted_l0,
+                       weighted_l1)
 from .problems import ProblemDef
 from .ssn import L1Weights, SsnError, default_tau, ssn_solve
 
 __all__ = ["L0PenaltyConfig", "L0Solution", "IterationRow",
-           "OptimalityReport", "solve_l0_penalized", "optimality_report",
-           "penalty_sweep"]
+           "OptimalityReport", "solve_l0_penalized", "support_metrics",
+           "scaled_gradient", "optimality_report", "penalty_sweep"]
 
 ZERO_SIGN_POLICIES = ("zero", "plus", "minus", "sign_of_load")
 U0_POLICIES = ("unconstrained_solve", "zero", "custom")
+
+#: residual tolerance of every semismooth Newton subproblem solve
+SSN_TOL = 1e-14
 
 
 @dataclass
@@ -49,13 +54,11 @@ class L0PenaltyConfig:
     u0_policy: str = "unconstrained_solve"
     u0: np.ndarray = None
     max_iter: int = 500
-    fixed_point_tol: float = 0.0
-    ssn_tol: float = 1e-14
     ssn_max_newton: int = 50
     subgrad_selection: str = "greedy"
 
     def validate(self, total_measure):
-        if not 0.0 < self.K <= total_measure * (1.0 + 1e-12):
+        if not 0.0 < self.K <= total_measure * (1.0 + BUDGET_RTOL):
             raise ValueError(f"K={self.K} outside (0, {total_measure}]")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
@@ -79,7 +82,6 @@ class IterationRow:
     gap: float
     newton_iters: int
     ssn_residual: float
-    step_norm: float
 
 
 @dataclass
@@ -106,7 +108,6 @@ class OptimalityReport:
 class L0Solution:
     u: np.ndarray
     objective: float
-    penalized_objective: float
     l0: float
     gap: float
     gap_selection_exact: bool
@@ -127,13 +128,13 @@ class L0Solution:
         return float(np.max(np.diff(vals), initial=0.0))
 
 
-def _fill_budget(sel, elems, budget, values, zero_threshold=1e-10):
+def _fill_budget(sel, elems, budget, values):
     """Extend a selection with zero-valued atoms (ascending index) while the
     budget permits; the extension does not change the attained value."""
-    slack = budget + 1e-12 * elems.total_measure() - sel.weight
+    slack = budget + BUDGET_RTOL * elems.total_measure() - sel.weight
     if slack <= 0.0 or slack < float(elems.weights.min()):
-        return sel.indices
-    candidates = np.abs(values) <= zero_threshold
+        return sel
+    candidates = np.abs(values) <= ZERO_THRESHOLD
     candidates[sel.indices] = False
     extra = []
     for i in np.flatnonzero(candidates):
@@ -143,8 +144,9 @@ def _fill_budget(sel, elems, budget, values, zero_threshold=1e-10):
             if slack <= 0.0:
                 break
     if not extra:
-        return sel.indices
-    return np.sort(np.concatenate([sel.indices, np.array(extra, dtype=int)]))
+        return sel
+    return replace(sel, indices=np.sort(np.concatenate([sel.indices, extra])),
+                   weight=sel.weight + float(elems.weights[extra].sum()))
 
 
 class _BudgetSchedule:
@@ -180,7 +182,8 @@ def _initial_point(problem: ProblemDef, cfg: L0PenaltyConfig):
 
 def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
                        cfg: L0PenaltyConfig) -> L0Solution:
-    """Run the penalized DC iteration and assemble the solution report."""
+    """Run the penalized DC iteration and assemble the solution report;
+    raises DcError unless the run ends at a fixed point at the target K."""
     elems = DiscreteMeasureSpace(system.elem_measure)
     cfg.validate(elems.total_measure())
     free = system.free_nodes
@@ -198,22 +201,33 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
 
     rows = []
     counters = {"newton": 0}
+    # dc_solve evaluates the objective at an iterate and then, after the
+    # hook, takes the subgradient at the same array: both share its element
+    # sums, and its selection unless the hook moved the budget
+    last = {"u": None, "w": None, "budget": None, "sel": None}
+
+    def selection_at(u_full):
+        if last["u"] is not u_full:
+            last.update(u=u_full, w=w_of(u_full, system), budget=None)
+        if last["budget"] != schedule.current:
+            last.update(budget=schedule.current,
+                        sel=select(last["w"], elems, schedule.current))
+        return last["w"], last["sel"]
 
     def hook(k):
         schedule.advance()
         rows.append(IterationRow(k=k, K=schedule.current, objective=np.nan,
                                  gap=np.nan, newton_iters=0,
-                                 ssn_residual=np.nan, step_norm=np.nan))
+                                 ssn_residual=np.nan))
 
     def h_subgrad(u_full):
-        w = w_of(u_full, system)
-        sel = select(w, elems, schedule.current)
+        w, sel = selection_at(u_full)
         # a maximizing set may be completed with zero-valued atoms at no
         # cost; without them the tilt vanishes on zero components and the
         # nonzero sign policies could never act from a zero iterate
-        chosen = _fill_budget(sel, elems, schedule.current, w)
-        r = np.zeros(elems.n)
-        r[chosen] = elems.weights[chosen]
+        r = subgradient_largest_k(
+            w, elems, schedule.current,
+            _fill_budget(sel, elems, schedule.current, w), "plus")
         a = np.sign(u_full)
         at_zero = u_full == 0.0
         a[at_zero] = zero_signs(u_full)[at_zero]
@@ -222,22 +236,21 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     def g_solve(s_full, warm_full):
         warm = system.restrict(warm_full)
         res = ssn_solve(problem.hessian, problem.q_smooth, weights,
-                        tau=default_tau(warm, weights), tol=cfg.ssn_tol,
+                        tau=default_tau(warm, weights), tol=SSN_TOL,
                         max_newton=cfg.ssn_max_newton, u0=warm,
                         tilt=s_full[free])
         if not res.converged:
             # dc_solve reports this as a DcError of the current sweep
             raise SsnError(f"semismooth Newton stopped after {res.iters} "
                            f"steps at residual {res.residual:.3e} "
-                           f"(tol {cfg.ssn_tol:g})")
+                           f"(tol {SSN_TOL:g})")
         counters["newton"] += res.iters
         rows[-1].newton_iters = res.iters
         rows[-1].ssn_residual = res.residual
         return system.expand(res.u), res.residual
 
     def objective(u_full):
-        w = w_of(u_full, system)
-        sel = select(w, elems, schedule.current)
+        w, sel = selection_at(u_full)
         gap = weighted_l1(w, elems) - sel.value
         value = problem.smooth_value(u_full) + cfg.rho * gap
         if rows:
@@ -247,51 +260,64 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     dc_problem = dc.DcProblem(g_solve=g_solve, h_subgrad=h_subgrad,
                               objective=objective)
     state = dc.dc_solve(dc_problem, _initial_point(problem, cfg),
-                        max_iter=cfg.max_iter,
-                        fixed_point_tol=cfg.fixed_point_tol,
-                        iteration_hook=hook,
+                        max_iter=cfg.max_iter, iteration_hook=hook,
                         stop_allowed=lambda k: schedule.reached)
-    if cfg.schedule_lambda is not None and not schedule.reached:
-        raise dc.DcError("budget schedule never reached the target K",
-                         state.k)
+    if state.status != "converged_fixed_point":
+        unreached = ("" if schedule.reached
+                     else "; the budget schedule never reached the target K")
+        raise dc.DcError(f"no fixed point within max_iter={cfg.max_iter} "
+                         f"sweeps{unreached}", state.k)
 
     for row, rec in zip(rows, state.history):
         row.objective = rec.objective
-        row.step_norm = rec.step_norm
 
-    w = w_of(state.u, system)
-    final_sel = largest_k_auto(w, elems, cfg.K)
-    gap = weighted_l1(w, elems) - final_sel.value
-    l0 = weighted_l0(w, elems)
-    report = optimality_report(state.u, problem, system, cfg.rho, cfg.K)
+    l0, gap, final_sel = support_metrics(state.u, system, cfg.K)
+    report = optimality_report(state.u, problem, system, cfg.rho, final_sel)
     return L0Solution(u=state.u,
                       objective=float(problem.smooth_value(state.u)),
-                      penalized_objective=float(problem.smooth_value(state.u)
-                                                + cfg.rho * gap),
                       l0=l0, gap=float(gap),
                       gap_selection_exact=final_sel.exact,
                       budget_exceeded=bool(
-                          l0 > cfg.K + 1e-12 * elems.total_measure()),
+                          l0 > cfg.K + BUDGET_RTOL * elems.total_measure()),
                       dc_iters=state.k, newton_iters=counters["newton"],
                       status=state.status, schedule_steps=schedule.steps,
                       diagnostics=report, history=rows)
 
 
-def optimality_report(u, problem: ProblemDef, system: FemSystem, rho,
-                      K) -> OptimalityReport:
-    """Evaluate the discrete stationarity conditions at a candidate ``u``."""
-    u = np.asarray(u, dtype=float)
+def support_metrics(u, system: FemSystem, K):
+    """``(l0, gap, selection)`` of the element sums ``w`` of a nodal field:
+    support measure, gap ``l1 - |w|_K`` and the largest-K selection (exact
+    where an oracle applies, else greedy), so ``l1 = gap + selection.value``."""
     elems = DiscreteMeasureSpace(system.elem_measure)
-    sel = largest_k_auto(w_of(u, system), elems, K)
+    w = w_of(u, system)
+    sel = largest_k_auto(w, elems, K)
+    return weighted_l0(w, elems), weighted_l1(w, elems) - sel.value, sel
+
+
+def scaled_gradient(grad_full, system: FemSystem):
+    """Full-length gradient divided by the patch measures on the free
+    nodes, zero on the boundary: the discrete multiplier field."""
+    out = np.zeros_like(grad_full)
+    free = system.free_nodes
+    out[free] = grad_full[free] / system.patch_measure[free]
+    return out
+
+
+def optimality_report(u, problem: ProblemDef, system: FemSystem, rho,
+                      selection: KSelection) -> OptimalityReport:
+    """Evaluate the discrete stationarity conditions at a candidate ``u``
+    against a largest-K ``selection`` of its element sums (the one
+    :func:`support_metrics` returns)."""
+    u = np.asarray(u, dtype=float)
     grad_full = problem.smooth_grad(u)
     free = system.free_nodes
-    ghat = grad_full[free] / system.patch_measure[free]
+    ghat = scaled_gradient(grad_full, system)[free]
     pairing = float(grad_full @ u)
 
-    selected = np.zeros(elems.n)
-    selected[sel.indices] = 1.0
+    selected = np.zeros(system.elem_measure.size)
+    selected[selection.indices] = 1.0
     covered = (system.incidence.T @ selected)[free]
-    patch_count = (system.incidence.T @ np.ones(elems.n))[free]
+    patch_count = (system.incidence.T @ np.ones_like(selected))[free]
     u_free = u[free]
     supported = u_free != 0.0
     fully_in = covered == patch_count
@@ -308,7 +334,7 @@ def optimality_report(u, problem: ProblemDef, system: FemSystem, rho,
                             support_off_selection_max=off_sel,
                             off_support_max=off_supp, max_scaled_gradient=gmax,
                             exact_penalty=bool(rho > gmax),
-                            selection_exact=sel.exact)
+                            selection_exact=selection.exact)
 
 
 def penalty_sweep(problem: ProblemDef, system: FemSystem,

@@ -20,19 +20,21 @@ __all__ = ["SparsaConfig", "SparsaResult", "SparsaError", "sparsa_solve",
            "node_l1_weights"]
 
 
+#: step rule: accept against the last WINDOW objective values with
+#: sufficient decrease SIGMA, grow a rejected step length by ETA, and clip
+#: the Barzilai-Borwein step length to [ALPHA_MIN, ALPHA_MAX]
+WINDOW, ETA, SIGMA = 5, 2.0, 0.01
+ALPHA_MIN, ALPHA_MAX = 1e-20, 1e20
+
+
 class SparsaError(RuntimeError):
     """Iteration cap reached before the stopping test was met."""
 
 
 @dataclass
 class SparsaConfig:
-    """Algorithm parameters; the defaults are the standard ones."""
+    """Stopping parameters; the step rule uses the module constants."""
 
-    M: int = 5
-    eta: float = 2.0
-    sigma: float = 0.01
-    alpha_min: float = 1e-20
-    alpha_max: float = 1e20
     rel_tol: float = 1e-5
     max_iter: int = 20_000
 
@@ -65,7 +67,7 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
 
     value, Hu = phi(u)
     grad = Hu - q
-    window = deque([value], maxlen=cfg.M)
+    window = deque([value], maxlen=WINDOW)
     history = [(value, np.nan, np.nan)]
     alpha = 1.0
     tiny = np.finfo(float).eps  # zero-denominator guard for the stop test
@@ -76,11 +78,11 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
             step = u_next - u
             step_sq = float(step @ step)
             value_next, Hu_next = phi(u_next)
-            if value_next <= ref - 0.5 * cfg.sigma * alpha * step_sq:
+            if value_next <= ref - 0.5 * SIGMA * alpha * step_sq:
                 break
-            if alpha >= cfg.alpha_max:
+            if alpha >= ALPHA_MAX:
                 break
-            alpha = min(alpha * cfg.eta, cfg.alpha_max)
+            alpha = min(alpha * ETA, ALPHA_MAX)
 
         grad_next = Hu_next - q
         rel_obj = abs(value_next - value) / max(abs(value), tiny)
@@ -91,7 +93,7 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
         if step_sq > 0.0:
             dg = grad_next - grad
             alpha = float(step @ dg) / step_sq
-            alpha = min(max(alpha, cfg.alpha_min), cfg.alpha_max)
+            alpha = min(max(alpha, ALPHA_MIN), ALPHA_MAX)
         else:
             alpha = 1.0
         u, value, grad = u_next, value_next, grad_next

@@ -40,6 +40,9 @@ __all__ = [
 
 TAU_FLOOR = 1e-16
 
+#: relative residual at which conjugate gradients stop on a principal system
+CG_RTOL = 1e-12
+
 
 class SsnError(RuntimeError):
     """Subproblem solver failure (singular system, iteration cap)."""
@@ -79,13 +82,11 @@ class QuadraticOperator:
     symmetric positive definite; the stopping tolerance is unchanged.
     """
 
-    def __init__(self, apply, n, explicit=None, cg_rtol=1e-12, cg_maxiter=None,
-                 full_solver=None, preconditioner=None):
+    def __init__(self, apply, n, explicit=None, full_solver=None,
+                 preconditioner=None):
         self.apply = apply
         self.n = n
         self.explicit = explicit
-        self.cg_rtol = cg_rtol
-        self.cg_maxiter = cg_maxiter
         self.full_solver = full_solver
         self.preconditioner = preconditioner
 
@@ -94,10 +95,6 @@ class QuadraticOperator:
         H = sp.csr_matrix(H)
         return cls(apply=lambda u: H @ u, n=H.shape[0], explicit=H,
                    full_solver=full_solver)
-
-    @classmethod
-    def from_action(cls, apply, n, **kwargs):
-        return cls(apply=apply, n=n, explicit=None, **kwargs)
 
     def solve_principal(self, active, rhs, x0=None):
         """Solve ``H[active, active] x = rhs`` for the active index set."""
@@ -130,9 +127,8 @@ class QuadraticOperator:
 
         precondition = (None if self.preconditioner is None
                         else restricted(self.preconditioner))
-        maxiter = self.cg_maxiter or max(2000, 20 * active.size)
-        x, info = spla.cg(restricted(self.apply), rhs, x0=x0,
-                          rtol=self.cg_rtol, atol=0.0, maxiter=maxiter,
+        x, info = spla.cg(restricted(self.apply), rhs, x0=x0, rtol=CG_RTOL,
+                          atol=0.0, maxiter=max(2000, 20 * active.size),
                           M=precondition)
         if info > 0:
             raise SsnError(f"conjugate gradients stalled after {info} iterations")

@@ -23,8 +23,8 @@ class TestPoissonCommand:
                    "--verify")
         assert code == 0
         header, row = csv.read_text().strip().splitlines()
-        assert header.split(",") == ["n", "K", "rho", "seed", "f", "l0",
-                                     "gap", "dc_iters", "ssn_iters",
+        assert header.split(",") == ["n", "K", "rho", "f", "l0", "gap",
+                                     "dc_iters", "ssn_iters",
                                      "selection_mode"]
         values = dict(zip(header.split(","), row.split(",")))
         assert float(values["l0"]) <= 0.25
@@ -43,7 +43,7 @@ class TestPoissonCommand:
             csv = tmp_path / f"{name}.csv"
             sol = tmp_path / f"{name}_sol.txt"
             assert run("poisson", "--n", "8", "--csv", str(csv),
-                       "--solution-out", str(sol), "--seed", "7") == 0
+                       "--solution-out", str(sol)) == 0
             outs.append((csv.read_bytes(), sol.read_bytes()))
         assert outs[0] == outs[1]
 
@@ -110,6 +110,22 @@ class TestPoissonCommand:
         path = tmp_path / "input.txt"
         path.write_text(text)
         assert run("poisson", "--n", "4", option, str(path)) == 1
+
+    def test_iteration_cap_fails(self, tmp_path, capsys):
+        # n=16 needs 2 sweeps to confirm its fixed point
+        csv = tmp_path / "run.csv"
+        assert run("poisson", "--n", "16", "--max-iter", "1",
+                   "--csv", str(csv)) == 1
+        assert "no fixed point" in capsys.readouterr().err
+        assert not csv.exists()
+
+
+class TestVerifyFlag:
+    @pytest.mark.parametrize("command", ["poisson", "control", "sparsa"])
+    def test_needs_solution_out(self, tmp_path, command):
+        csv = tmp_path / "run.csv"
+        assert run(command, "--n", "8", "--csv", str(csv), "--verify") == 2
+        assert not csv.exists()
 
 
 class TestSparsaCommand:
@@ -227,3 +243,18 @@ class TestVerifyCommand:
 
     def test_missing_arguments(self):
         assert run("verify", "--n", "8") == 2
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "n,K,rho,f,gap\n8,0.25,1e9,-0.1,0\n",
+        "n,K,rho,f,l0\n8,0.25,1e9,-0.1,0.25\n",
+        "n,K,rho,f,l0,gap\n",
+    ], ids=["empty", "no-l0", "no-gap", "header-only"])
+    def test_malformed_csv_is_a_config_error(self, tmp_path, capsys, text):
+        csv = tmp_path / "run.csv"
+        sol = tmp_path / "sol.txt"
+        write_field(sol, np.zeros(81))
+        csv.write_text(text)
+        assert run("verify", "--csv", str(csv), "--solution-out", str(sol),
+                   "--n", "8", "--K", "0.25") == 2
+        assert "config error" in capsys.readouterr().err

@@ -67,7 +67,6 @@ class TestDcSolve:
                              rng.standard_normal(1) * 10.0)
             vals = state.objectives
             assert np.all(np.diff(vals) <= 1e-12 * (1.0 + abs(vals[0])))
-            assert state.max_ascent() <= 1e-12 * (1.0 + abs(vals[0]))
 
     def test_equal_objectives_imply_fixed_point(self, rng):
         # strongly convex g: equal consecutive values only at a fixed point

@@ -160,8 +160,7 @@ class TestGridPreconditioner:
         system = assemble(build_structured_mesh(n))
         problem = control_reduced(system, ControlConfig())
         assert problem.hessian.preconditioner is not None
-        plain = QuadraticOperator.from_action(problem.hessian.apply,
-                                              n=system.num_free)
+        plain = QuadraticOperator(problem.hessian.apply, n=system.num_free)
         rng = np.random.default_rng(n)
         active = np.arange(system.num_free)
         if subset == "quarter":

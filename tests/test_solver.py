@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import jittered_mesh
+from dcl0 import solver
 from dcl0.dc import DcError
 from dcl0.fem import assemble, build_structured_mesh, w_of
-from dcl0.measures import DiscreteMeasureSpace, weighted_l1
+from dcl0.measures import (DiscreteMeasureSpace, largest_k_auto, weighted_l0,
+                           weighted_l1)
 from dcl0.problems import default_load, poisson_prototype
 from dcl0.solver import (L0PenaltyConfig, optimality_report, penalty_sweep,
-                         solve_l0_penalized)
+                         solve_l0_penalized, support_metrics)
 
 
 @pytest.fixture(scope="module")
@@ -131,15 +134,25 @@ class TestSchedule:
         problem, system = setup16
         cfg = L0PenaltyConfig(K=0.25, rho=1e9, schedule_lambda=0.9,
                               max_iter=5)
-        with pytest.raises(DcError):
+        with pytest.raises(DcError, match="schedule never reached"):
             solve_l0_penalized(problem, system, cfg)
+
+    def test_iteration_cap_is_an_error(self, setup16):
+        # the unscheduled n=16 run needs 2 sweeps to confirm its fixed point
+        problem, system = setup16
+        cfg = L0PenaltyConfig(K=0.25, rho=1e9, max_iter=1)
+        with pytest.raises(DcError, match="no fixed point") as info:
+            solve_l0_penalized(problem, system, cfg)
+        assert "schedule" not in str(info.value)
 
 
 class TestOptimalityReport:
     def test_zero_candidate(self, setup16):
         problem, system = setup16
-        report = optimality_report(np.zeros(system.mesh.num_nodes), problem,
-                                   system, rho=1e9, K=0.25)
+        u = np.zeros(system.mesh.num_nodes)
+        _, _, selection = support_metrics(u, system, 0.25)
+        report = optimality_report(u, problem, system, rho=1e9,
+                                   selection=selection)
         assert report.pairing == 0.0
         assert report.support_in_selection_max == 0.0
         assert report.support_off_selection_max == 0.0
@@ -158,7 +171,9 @@ class TestOptimalityReport:
         u = np.zeros(system.mesh.num_nodes)
         j = system.free_nodes[len(system.free_nodes) // 2]
         u[j] = 1.0
-        report = optimality_report(u, problem, system, rho=1e9, K=0.25)
+        _, _, selection = support_metrics(u, system, 0.25)
+        report = optimality_report(u, problem, system, rho=1e9,
+                                   selection=selection)
         assert report.support_off_selection_max == 0.0
 
 
@@ -219,3 +234,46 @@ class TestPenaltySweep:
         assert sol.gap > 0.0
         assert sol.l0 > cfg.K
         assert sol.budget_exceeded
+
+
+class TestSupportMetrics:
+    def test_matches_inline_formula_on_jittered_mesh(self):
+        system = assemble(jittered_mesh(12, seed=2), default_load)
+        problem = poisson_prototype(system)
+        u = problem.unconstrained_minimizer()
+        u[np.abs(u) < np.quantile(np.abs(u), 0.6)] = 0.0
+        l0, gap, selection = support_metrics(u, system, 0.25)
+        elems = DiscreteMeasureSpace(system.elem_measure)
+        w = w_of(u, system)
+        expected = largest_k_auto(w, elems, 0.25)
+        assert not selection.exact
+        assert np.array_equal(selection.indices, expected.indices)
+        assert l0 == weighted_l0(w, elems)
+        assert gap == weighted_l1(w, elems) - expected.value
+        assert gap + selection.value == pytest.approx(weighted_l1(w, elems),
+                                                      rel=1e-15)
+
+
+class TestCallCounts:
+    def test_one_selection_per_iterate(self, monkeypatch):
+        # unscheduled Poisson n=32 takes 2 sweeps: the objective at the start
+        # point and after each sweep selects once, the subgradient reuses
+        # that selection, and the report shares the final oracle call
+        system = assemble(build_structured_mesh(32), default_load)
+        problem = poisson_prototype(system)
+        calls = {}
+
+        def counted(name):
+            original = getattr(solver, name)
+
+            def run(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(solver, name, run)
+
+        for name in ("largest_k_greedy", "largest_k_auto", "w_of"):
+            counted(name)
+        sol = solve_l0_penalized(problem, system, L0PenaltyConfig(K=0.25))
+        assert sol.dc_iters == 2
+        assert calls == {"largest_k_greedy": 3, "largest_k_auto": 1,
+                         "w_of": 4}

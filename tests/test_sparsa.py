@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from conftest import random_spd
 from dcl0.fem import assemble, build_structured_mesh
 from dcl0.problems import default_load, poisson_prototype
+from dcl0 import sparsa
 from dcl0.sparsa import (SparsaConfig, SparsaError, node_l1_weights,
                          sparsa_solve)
 from dcl0.ssn import L1Weights, QuadraticOperator, f_tau_residual
@@ -12,13 +13,12 @@ from dcl0.ssn import L1Weights, QuadraticOperator, f_tau_residual
 
 class TestDefaults:
     def test_parameter_defaults(self):
-        cfg = SparsaConfig()
-        assert cfg.M == 5
-        assert cfg.eta == 2.0
-        assert cfg.sigma == 0.01
-        assert cfg.alpha_min == 1e-20
-        assert cfg.alpha_max == 1e20
-        assert cfg.rel_tol == 1e-5
+        assert sparsa.WINDOW == 5
+        assert sparsa.ETA == 2.0
+        assert sparsa.SIGMA == 0.01
+        assert sparsa.ALPHA_MIN == 1e-20
+        assert sparsa.ALPHA_MAX == 1e20
+        assert SparsaConfig().rel_tol == 1e-5
 
 
 class TestSparsaSolve:
@@ -39,19 +39,19 @@ class TestSparsaSolve:
 
     def test_nonmonotone_acceptance_window(self, rng):
         # every accepted value obeys the sufficient decrease against the
-        # maximum of the previous M objective values, and only those M
+        # maximum of the previous WINDOW objective values, and only those
         mat = random_spd(rng, 30)
         q = rng.standard_normal(30) * 3.0
         H = QuadraticOperator.from_matrix(mat)
-        cfg = SparsaConfig()
-        res = sparsa_solve(H, q, np.full(30, 0.3), cfg, u0=np.zeros(30))
+        res = sparsa_solve(H, q, np.full(30, 0.3), SparsaConfig(),
+                           u0=np.zeros(30))
         values = [v for v, _, _ in res.history]
         alphas = [a for _, a, _ in res.history]
         steps = [s for _, _, s in res.history]
         for k in range(1, len(values)):
-            window = values[max(0, k - cfg.M):k]
+            window = values[max(0, k - sparsa.WINDOW):k]
             assert values[k] <= max(window) \
-                - 0.5 * cfg.sigma * alphas[k] * steps[k] ** 2 + 1e-10
+                - 0.5 * sparsa.SIGMA * alphas[k] * steps[k] ** 2 + 1e-10
 
     def test_final_stationarity_residual(self, rng):
         mat = random_spd(rng, 25)

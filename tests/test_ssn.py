@@ -29,7 +29,7 @@ class TestQuadraticOperator:
     def test_action_principal_solve_matches_direct(self, rng):
         mat = random_spd(rng, 40)
         explicit = QuadraticOperator.from_matrix(mat)
-        action = QuadraticOperator.from_action(lambda u: mat @ u, n=40)
+        action = QuadraticOperator(lambda u: mat @ u, n=40)
         active = np.sort(rng.choice(40, size=17, replace=False))
         rhs = rng.standard_normal(17)
         x_direct = explicit.solve_principal(active, rhs)
