@@ -4,8 +4,6 @@ The caller supplies a subproblem solver for the convex majorant (minimize
 ``g(u) - <s, u>`` given a tilt ``s``), a subgradient map for ``h``, and the
 objective.  Each sweep linearizes ``h`` at the current iterate and minimizes
 the resulting convex model; the iteration stops at a fixed point of the map.
-An inexact mode tracks the subproblem stationarity residuals against a
-summability budget.
 """
 
 from __future__ import annotations
@@ -14,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DcProblem", "DcRecord", "DcState", "DcError", "dc_solve",
-           "criticality_residual"]
+__all__ = ["DcProblem", "DcState", "DcError", "dc_solve"]
 
 
 class DcError(RuntimeError):
@@ -30,10 +27,8 @@ class DcError(RuntimeError):
 class DcProblem:
     """Decomposition ``objective = g - h`` given through its solver pieces.
 
-    ``g_solve(s, warm_start) -> (u, residual)`` returns an (approximate)
-    minimizer of ``g(u) - <s, u>`` together with its stationarity residual
-    (0 for an exact solve); ``h_subgrad(u)`` returns some subgradient of
-    ``h`` at ``u``.
+    ``g_solve(s, warm_start)`` returns a minimizer of ``g(u) - <s, u>``;
+    ``h_subgrad(u)`` returns some subgradient of ``h`` at ``u``.
     """
 
     g_solve: object
@@ -42,78 +37,42 @@ class DcProblem:
 
 
 @dataclass
-class DcRecord:
-    objective: float
-    step_norm: float
-    residual: float
-
-
-@dataclass
 class DcState:
+    """Final iterate, sweep count, the objective after every sweep and the
+    way the run ended."""
+
     u: np.ndarray
-    s: np.ndarray
     k: int
-    history: list[DcRecord] = field(default_factory=list)
+    objectives: list[float] = field(default_factory=list)
     status: str = "running"
 
-    @property
-    def objectives(self):
-        return np.array([rec.objective for rec in self.history])
 
-
-def dc_solve(problem: DcProblem, u0, max_iter=500, fixed_point_tol=0.0,
-             residual_budget=None, iteration_hook=None,
+def dc_solve(problem: DcProblem, u0, max_iter=500, iteration_hook=None,
              stop_allowed=None) -> DcState:
     """Run the DC iteration from ``u0``.
 
-    Stops when the new iterate equals the previous one (exact comparison for
-    ``fixed_point_tol == 0``, the default, otherwise a norm test) or after
+    Stops when the new iterate equals the previous one exactly or after
     ``max_iter`` sweeps.  ``iteration_hook(k)`` fires before sweep ``k``;
     ``stop_allowed(k)`` can veto termination (used by parameter schedules).
-    With ``residual_budget`` set, the accumulated squared subproblem
-    residuals must stay within the budget or the run aborts.
     """
     u = np.asarray(u0, dtype=float).copy()
     if not np.isfinite(problem.objective(u)):
         raise DcError("objective not finite at the starting point", 0)
-    state = DcState(u=u, s=np.zeros_like(u), k=0)
-    residual_sq = 0.0
+    state = DcState(u=u, k=0)
     for k in range(max_iter):
         if iteration_hook is not None:
             iteration_hook(k)
         s = problem.h_subgrad(u)
         try:
-            u_next, eps = problem.g_solve(s, u)
+            u_next = np.asarray(problem.g_solve(s, u), dtype=float)
         except Exception as exc:
             raise DcError(f"subproblem solver failed: {exc}", k) from exc
-        u_next = np.asarray(u_next, dtype=float)
-        residual_sq += float(eps) ** 2
-        if residual_budget is not None and residual_sq > residual_budget:
-            raise DcError(
-                f"residual budget exhausted ({residual_sq:.3e} > "
-                f"{residual_budget:.3e})", k)
-        step = float(np.linalg.norm(u_next - u))
-        state.history.append(DcRecord(objective=float(problem.objective(u_next)),
-                                      step_norm=step, residual=float(eps)))
+        state.objectives.append(float(problem.objective(u_next)))
         state.k = k + 1
-        state.s = s
-        if fixed_point_tol == 0.0:
-            at_fixed_point = np.array_equal(u_next, u)
-        else:
-            at_fixed_point = step <= fixed_point_tol
-        u = u_next
-        state.u = u
+        at_fixed_point = np.array_equal(u_next, u)
+        u = state.u = u_next
         if at_fixed_point and (stop_allowed is None or stop_allowed(k)):
             state.status = "converged_fixed_point"
             return state
     state.status = "max_iter"
     return state
-
-
-def criticality_residual(problem: DcProblem, u, s) -> float:
-    """Distance of ``u`` from being a critical point along subgradient ``s``:
-    re-solve the convex model tilted by ``s`` from ``u`` and measure how far
-    the solver moves plus its reported stationarity residual."""
-    u = np.asarray(u, dtype=float)
-    v, eps = problem.g_solve(s, u)
-    return float(np.linalg.norm(np.asarray(v) - u)) + float(eps)

@@ -3,8 +3,9 @@
 Provides the structured crossed-diagonal triangulation, plain-text mesh and
 nodal-field I/O, and the assembly of the stiffness matrix, mass matrix and
 load vector together with the element/patch measure vectors needed by the
-discrete largest-K machinery.  Dirichlet rows/columns are eliminated; vectors
-crossing module boundaries are full length with zeros on the boundary.
+discrete largest-K machinery.  Dirichlet rows/columns are eliminated and only
+the free-dof matrices are kept; vectors crossing module boundaries are full
+length with zeros on the boundary.
 Stiffness solves use a 2-D sine transform where the free-dof stiffness is
 the 5-point Laplacian of a square grid, and a cached sparse factorization
 elsewhere.
@@ -45,13 +46,12 @@ class MeshFormatError(ValueError):
 
 @dataclass
 class TriMesh:
-    """Conforming triangulation: node coordinates, triangle connectivity,
-    boundary node set and a nominal mesh size."""
+    """Conforming triangulation: node coordinates, triangle connectivity and
+    boundary node set."""
 
     nodes: np.ndarray           # (N, 2) coordinates
     triangles: np.ndarray       # (m, 3) node indices, positive orientation
     boundary_nodes: np.ndarray  # sorted indices of nodes on the boundary
-    h_target: float
 
     @property
     def num_nodes(self):
@@ -80,7 +80,7 @@ def _boundary_nodes(triangles, num_nodes):
     return np.unique(np.concatenate([single // num_nodes, single % num_nodes]))
 
 
-def _validate(nodes, triangles, h_target):
+def _validate(nodes, triangles):
     num_nodes = nodes.shape[0]
     if triangles.size and (triangles.min() < 0 or triangles.max() >= num_nodes):
         raise MeshFormatError("triangle refers to a node index out of range")
@@ -100,8 +100,7 @@ def _validate(nodes, triangles, h_target):
     if referenced.size != num_nodes:
         raise MeshFormatError("mesh contains nodes not used by any triangle")
     return TriMesh(nodes=nodes, triangles=triangles,
-                   boundary_nodes=_boundary_nodes(triangles, num_nodes),
-                   h_target=h_target)
+                   boundary_nodes=_boundary_nodes(triangles, num_nodes))
 
 
 def build_structured_mesh(n: int) -> TriMesh:
@@ -120,7 +119,7 @@ def build_structured_mesh(n: int) -> TriMesh:
     lower = np.column_stack([v00, v10, v11])
     upper = np.column_stack([v00, v11, v01])
     tris = np.stack([lower, upper], axis=1).reshape(-1, 3)
-    return _validate(nodes, tris, h_target=1.0 / n)
+    return _validate(nodes, tris)
 
 
 def export_mesh(mesh: TriMesh, path):
@@ -156,19 +155,20 @@ def import_mesh(path) -> TriMesh:
         pos += count
         return out
 
-    expect("nodes")
-    num_nodes = int(take(1, int)[0])
+    def take_count(word):
+        expect(word)
+        count = int(take(1, int)[0])
+        if count < 0:
+            raise MeshFormatError(f"negative {word} count {count}")
+        return count
+
+    num_nodes = take_count("nodes")
     nodes = take(2 * num_nodes, float).reshape(num_nodes, 2)
-    expect("triangles")
-    num_tris = int(take(1, int)[0])
+    num_tris = take_count("triangles")
     tris = take(3 * num_tris, int).reshape(num_tris, 3)
     if pos != len(tokens):
         raise MeshFormatError("trailing data after triangle list")
-    diam = 0.0
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        d = np.linalg.norm(nodes[tris[:, a]] - nodes[tris[:, b]], axis=1)
-        diam = max(diam, float(d.max())) if d.size else diam
-    return _validate(nodes, tris, h_target=diam)
+    return _validate(nodes, tris)
 
 
 def write_field(path, values):
@@ -274,21 +274,18 @@ def _grid_laplacian_solver(A):
 class FemSystem:
     """Assembled P1 system with Dirichlet degrees of freedom eliminated.
 
-    ``A``/``M``/``b`` act on the free (interior) degrees of freedom;
-    the ``*_full`` variants keep every node for diagnostics.  ``incidence``
-    is the element-by-node 0/1 matrix, ``elem_measure`` the triangle areas,
-    ``patch_measure`` per node the total area of its incident triangles, and
-    ``basis_integral`` the integral of each nodal basis function (one third
-    of the patch measure for triangles).
+    ``A``/``M``/``b`` act on the free (interior) degrees of freedom and no
+    all-node matrix is kept.  ``incidence`` is the element-by-node 0/1
+    matrix, ``elem_measure`` the triangle areas, ``patch_measure`` per node
+    the total area of its incident triangles, and ``basis_integral`` the
+    integral of each nodal basis function (one third of the patch measure
+    for triangles).
     """
 
     mesh: TriMesh
     A: sp.csr_matrix
     M: sp.csr_matrix
     b: np.ndarray
-    A_full: sp.csr_matrix
-    M_full: sp.csr_matrix
-    b_full: np.ndarray
     incidence: sp.csr_matrix
     elem_measure: np.ndarray
     patch_measure: np.ndarray
@@ -337,15 +334,15 @@ class FemSystem:
         return self._stiffness_lu.solve(rhs)
 
 
-def assemble(mesh: TriMesh, g=None) -> FemSystem:
-    """Assemble stiffness, mass and load for ``-laplace u = g`` with
-    homogeneous Dirichlet data.
+def _assemble_nodes(mesh: TriMesh, g=None):
+    """Stiffness, mass and load of every node, boundary included, and the
+    triangle areas: ``(A_full, M_full, b_full, areas)``.
 
     Stiffness and mass use the exact P1 element integrals; the load uses the
     three-point edge-midpoint rule (exact for quadratic integrands).
     """
     nodes, tris = mesh.nodes, mesh.triangles
-    num_nodes, m = mesh.num_nodes, mesh.num_triangles
+    num_nodes = mesh.num_nodes
     areas = _signed_areas(nodes, tris)
     if np.any(areas <= 0.0):
         raise MeshFormatError("degenerate element in mesh")
@@ -381,7 +378,15 @@ def assemble(mesh: TriMesh, g=None) -> FemSystem:
         b_loc = np.stack([(g01 + g20) * scale, (g01 + g12) * scale,
                           (g12 + g20) * scale], axis=1)
         np.add.at(b_full, tris.ravel(), b_loc.ravel())
+    return A_full, M_full, b_full, areas
 
+
+def assemble(mesh: TriMesh, g=None) -> FemSystem:
+    """Assemble stiffness, mass and load for ``-laplace u = g`` with
+    homogeneous Dirichlet data (see :func:`_assemble_nodes`) and eliminate
+    the boundary nodes."""
+    tris, num_nodes, m = mesh.triangles, mesh.num_nodes, mesh.num_triangles
+    A_full, M_full, b_full, areas = _assemble_nodes(mesh, g)
     elem_idx = np.repeat(np.arange(m), 3)
     incidence = sp.coo_matrix((np.ones(3 * m), (elem_idx, tris.ravel())),
                               shape=(m, num_nodes)).tocsr()
@@ -389,10 +394,8 @@ def assemble(mesh: TriMesh, g=None) -> FemSystem:
     basis_integral = patch_measure / 3.0
 
     free = np.setdiff1d(np.arange(num_nodes), mesh.boundary_nodes)
-    A = A_full[free][:, free].tocsr()
-    M = M_full[free][:, free].tocsr()
-    return FemSystem(mesh=mesh, A=A, M=M, b=b_full[free],
-                     A_full=A_full, M_full=M_full, b_full=b_full,
+    return FemSystem(mesh=mesh, A=A_full[free][:, free].tocsr(),
+                     M=M_full[free][:, free].tocsr(), b=b_full[free],
                      incidence=incidence, elem_measure=areas,
                      patch_measure=patch_measure, basis_integral=basis_integral,
                      free_nodes=free)

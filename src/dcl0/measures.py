@@ -104,11 +104,11 @@ def _check_budget(budget, space):
     return float(budget)
 
 
-def weighted_l0(x, space: DiscreteMeasureSpace, zero_threshold=ZERO_THRESHOLD) -> float:
+def weighted_l0(x, space: DiscreteMeasureSpace) -> float:
     """Measure of the support: sum of atom measures where ``|x_i|`` exceeds
-    the zero threshold."""
+    :data:`ZERO_THRESHOLD`."""
     x = _check_dims(x, space)
-    return float(space.weights[np.abs(x) > zero_threshold].sum())
+    return float(space.weights[np.abs(x) > ZERO_THRESHOLD].sum())
 
 
 def weighted_l1(x, space: DiscreteMeasureSpace) -> float:
@@ -124,20 +124,19 @@ def _selection(indices, absx, lam, exact):
     return KSelection(indices=idx, value=value, weight=weight, exact=exact)
 
 
-def largest_k_greedy(x, space: DiscreteMeasureSpace, budget,
-                     zero_threshold=ZERO_THRESHOLD) -> KSelection:
+def largest_k_greedy(x, space: DiscreteMeasureSpace, budget) -> KSelection:
     """Greedy knapsack scan for the largest-K maximum.
 
     Atoms are visited by decreasing ``|x_i|`` (ties by ascending index) and
-    taken whenever their measure still fits the remaining budget.  Atoms with
-    ``|x_i|`` at or below the zero threshold are never taken.  The result is
-    feasible but may undershoot the exact maximum.
+    taken whenever their measure still fits the remaining budget.  Atoms
+    with ``|x_i|`` at or below :data:`ZERO_THRESHOLD` are never taken.  The
+    result is feasible but may undershoot the exact maximum.
     """
     x = _check_dims(x, space)
     budget = _check_budget(budget, space)
     lam = space.weights
     absx = np.abs(x)
-    candidates = np.flatnonzero(absx > zero_threshold)
+    candidates = np.flatnonzero(absx > ZERO_THRESHOLD)
     # stable sort on -|x| keeps ascending index order within ties
     order = candidates[np.argsort(-absx[candidates], kind="stable")]
     slack = budget + BUDGET_RTOL * space.total_measure()
@@ -265,14 +264,14 @@ def _exact_enumerate(absx, lam, budget):
     return _selection(chosen, absx, lam, exact=True)
 
 
-def largest_k_exact(x, space: DiscreteMeasureSpace, budget,
-                    enum_limit=ENUM_LIMIT, dp_limit=DP_LIMIT) -> KSelection:
+def largest_k_exact(x, space: DiscreteMeasureSpace, budget) -> KSelection:
     """Exact largest-K maximum.
 
     Uses, in order of preference: the closed form for equal atom measures,
     a dynamic program when the measures are integer multiples of a common
-    unit, and meet-in-the-middle subset enumeration for up to ``enum_limit``
-    atoms.  Raises :class:`OracleLimitError` when none applies.
+    unit (up to :data:`DP_LIMIT` atoms), and meet-in-the-middle subset
+    enumeration for up to :data:`ENUM_LIMIT` atoms.  Raises
+    :class:`OracleLimitError` when none applies.
     """
     x = _check_dims(x, space)
     budget = _check_budget(budget, space)
@@ -282,13 +281,13 @@ def largest_k_exact(x, space: DiscreteMeasureSpace, budget,
         return _selection([], absx, lam, exact=True)
     if np.ptp(lam) <= BUDGET_RTOL * lam[0]:
         return _exact_equal_weights(absx, lam, budget)
-    if space.n <= dp_limit:
+    if space.n <= DP_LIMIT:
         unit = _float_gcd(lam)
         if unit is not None:
             cap = _int_capacity(budget / unit)
             if space.n * (cap + 1) <= DP_CELL_LIMIT:
                 return _exact_dp(absx, lam, budget, unit)
-    if space.n <= enum_limit:
+    if space.n <= ENUM_LIMIT:
         return _exact_enumerate(absx, lam, budget)
     raise OracleLimitError(
         f"no exact oracle for {space.n} atoms with incommensurate measures")

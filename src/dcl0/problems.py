@@ -38,7 +38,6 @@ class ProblemDef:
     function on the free dofs via ``grad_free(u) = H u_free - q_smooth``.
     """
 
-    label: str
     system: FemSystem
     hessian: QuadraticOperator
     q_smooth: np.ndarray
@@ -66,8 +65,8 @@ def poisson_prototype(system: FemSystem) -> ProblemDef:
         return system.expand(A @ u - b)
 
     hessian = QuadraticOperator.from_matrix(A, full_solver=system.grid_solver)
-    return ProblemDef(label="poisson", system=system, hessian=hessian,
-                      q_smooth=b, smooth_value=value, smooth_grad=grad)
+    return ProblemDef(system=system, hessian=hessian, q_smooth=b,
+                      smooth_value=value, smooth_grad=grad)
 
 
 @dataclass
@@ -135,8 +134,8 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
     hessian = QuadraticOperator(
         hess_action, n=system.num_free,
         preconditioner=_grid_hessian_inverse(system, cfg))
-    return ProblemDef(label="control", system=system, hessian=hessian,
-                      q_smooth=q_smooth, smooth_value=value, smooth_grad=grad,
+    return ProblemDef(system=system, hessian=hessian, q_smooth=q_smooth,
+                      smooth_value=value, smooth_grad=grad,
                       tracking_error=tracking_error)
 
 

@@ -23,7 +23,7 @@ from .measures import (BUDGET_RTOL, ZERO_THRESHOLD, DiscreteMeasureSpace,
                        largest_k_greedy, subgradient_largest_k, weighted_l0,
                        weighted_l1)
 from .problems import ProblemDef
-from .ssn import L1Weights, SsnError, default_tau, ssn_solve
+from .ssn import L1Weights, SsnError, ssn_solve
 
 __all__ = ["L0PenaltyConfig", "L0Solution", "IterationRow",
            "OptimalityReport", "solve_l0_penalized", "support_metrics",
@@ -54,7 +54,6 @@ class L0PenaltyConfig:
     u0_policy: str = "unconstrained_solve"
     u0: np.ndarray = None
     max_iter: int = 500
-    ssn_max_newton: int = 50
     subgrad_selection: str = "greedy"
 
     def validate(self, total_measure):
@@ -62,6 +61,8 @@ class L0PenaltyConfig:
             raise ValueError(f"K={self.K} outside (0, {total_measure}]")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.schedule_lambda is not None and not 0.0 < self.schedule_lambda < 1.0:
             raise ValueError("schedule_lambda must lie in (0, 1)")
         if self.zero_sign_policy not in ZERO_SIGN_POLICIES:
@@ -111,7 +112,6 @@ class L0Solution:
     l0: float
     gap: float
     gap_selection_exact: bool
-    budget_exceeded: bool
     dc_iters: int
     newton_iters: int
     status: str
@@ -236,9 +236,7 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     def g_solve(s_full, warm_full):
         warm = system.restrict(warm_full)
         res = ssn_solve(problem.hessian, problem.q_smooth, weights,
-                        tau=default_tau(warm, weights), tol=SSN_TOL,
-                        max_newton=cfg.ssn_max_newton, u0=warm,
-                        tilt=s_full[free])
+                        tol=SSN_TOL, u0=warm, tilt=s_full[free])
         if not res.converged:
             # dc_solve reports this as a DcError of the current sweep
             raise SsnError(f"semismooth Newton stopped after {res.iters} "
@@ -247,7 +245,7 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
         counters["newton"] += res.iters
         rows[-1].newton_iters = res.iters
         rows[-1].ssn_residual = res.residual
-        return system.expand(res.u), res.residual
+        return system.expand(res.u)
 
     def objective(u_full):
         w, sel = selection_at(u_full)
@@ -268,8 +266,8 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
         raise dc.DcError(f"no fixed point within max_iter={cfg.max_iter} "
                          f"sweeps{unreached}", state.k)
 
-    for row, rec in zip(rows, state.history):
-        row.objective = rec.objective
+    for row, value in zip(rows, state.objectives):
+        row.objective = value
 
     l0, gap, final_sel = support_metrics(state.u, system, cfg.K)
     report = optimality_report(state.u, problem, system, cfg.rho, final_sel)
@@ -277,8 +275,6 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
                       objective=float(problem.smooth_value(state.u)),
                       l0=l0, gap=float(gap),
                       gap_selection_exact=final_sel.exact,
-                      budget_exceeded=bool(
-                          l0 > cfg.K + BUDGET_RTOL * elems.total_measure()),
                       dc_iters=state.k, newton_iters=counters["newton"],
                       status=state.status, schedule_steps=schedule.steps,
                       diagnostics=report, history=rows)

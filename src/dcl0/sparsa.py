@@ -38,6 +38,12 @@ class SparsaConfig:
     rel_tol: float = 1e-5
     max_iter: int = 20_000
 
+    def __post_init__(self):
+        if not self.rel_tol > 0.0:
+            raise ValueError("rel_tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+
 
 @dataclass
 class SparsaResult:
@@ -59,6 +65,9 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
     and the relative step fall below ``cfg.rel_tol``."""
     q = np.asarray(q, dtype=float)
     w = np.asarray(l1_weights, dtype=float)
+    if np.any(w < 0.0):
+        # a negative weight makes the L1 term concave
+        raise ValueError("L1 weights must be nonnegative")
     u = np.asarray(u0, dtype=float).copy()
 
     def phi(v):

@@ -111,6 +111,31 @@ class TestPoissonCommand:
         path.write_text(text)
         assert run("poisson", "--n", "4", option, str(path)) == 1
 
+    @pytest.mark.parametrize("text", ["nodes -2\n",
+                                      "nodes 3\n0 0\n1 0\n0 1\ntriangles -1\n"])
+    def test_negative_mesh_count_fails(self, tmp_path, capsys, text):
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        assert run("poisson", "--mesh-file", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dcl0: solver failure: negative ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["poisson", "--n", "8", "--max-iter", "0"],
+        ["sparsa", "--n", "8", "--rel-tol", "-1", "--sparsa-max-iter", "5"],
+        ["sparsa", "--n", "8", "--rel-tol", "0"],
+        ["sparsa", "--n", "8", "--sparsa-max-iter", "0"],
+        ["sparsa", "--n", "8", "--beta", "-1"],
+    ], ids=["max-iter-0", "rel-tol-negative", "rel-tol-zero",
+            "sparsa-max-iter-0", "negative-beta"])
+    def test_invalid_setting_is_a_config_error(self, tmp_path, capsys, argv):
+        csv = tmp_path / "run.csv"
+        assert run(*argv, "--csv", str(csv)) == 2
+        assert capsys.readouterr().err.startswith("dcl0: config error: ")
+        assert not csv.exists()
+
     def test_iteration_cap_fails(self, tmp_path, capsys):
         # n=16 needs 2 sweeps to confirm its fixed point
         csv = tmp_path / "run.csv"

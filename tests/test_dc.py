@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from dcl0.dc import DcError, DcProblem, dc_solve, criticality_residual
+from dcl0.dc import DcError, DcProblem, dc_solve
 
 
 def quadratic_minus_abs():
     """1-d toy: g(u) = u^2, h(u) = |u|; critical points at +-1/2 and 0."""
 
     def g_solve(s, warm):
-        return np.array([s[0] / 2.0]), 0.0
+        return np.array([s[0] / 2.0])
 
     def h_subgrad(u):
         return np.sign(u)
@@ -23,7 +23,7 @@ def pure_quadratic(H, q):
     Hinv = np.linalg.inv(H)
 
     def g_solve(s, warm):
-        return Hinv @ (q + s), 0.0
+        return Hinv @ (q + s)
 
     def h_subgrad(u):
         return np.zeros_like(u)
@@ -41,8 +41,7 @@ class TestDcSolve:
         assert state.status == "converged_fixed_point"
         assert state.u[0] == 0.5
         assert state.k == 2
-        assert state.history[0].step_norm == 0.5
-        assert state.history[1].step_norm == 0.0
+        assert state.objectives == [-0.25, -0.25]
 
     def test_vanishing_h_solves_in_one_sweep(self, rng):
         H = np.diag([2.0, 5.0, 1.0])
@@ -50,8 +49,7 @@ class TestDcSolve:
         state = dc_solve(pure_quadratic(H, q), rng.standard_normal(3))
         expected = np.linalg.solve(H, q)
         assert np.allclose(state.u, expected, rtol=1e-14)
-        assert np.allclose(state.history[0].objective,
-                           state.history[-1].objective)
+        assert np.allclose(state.objectives[0], state.objectives[-1])
         assert state.k <= 2
 
     def test_fixed_point_start_confirms_immediately(self):
@@ -74,11 +72,12 @@ class TestDcSolve:
         vals = state.objectives
         for i in range(len(vals) - 1):
             if vals[i + 1] == vals[i]:
-                assert state.history[i + 1].step_norm == 0.0
+                # sweep i + 1 reproduced its iterate: the run ends there
+                assert state.k == i + 2
 
     def test_max_iter_guard(self):
         # oscillating fake solver never reaches a fixed point
-        flip = DcProblem(g_solve=lambda s, w: (-w, 0.0),
+        flip = DcProblem(g_solve=lambda s, w: -w,
                          h_subgrad=lambda u: np.zeros_like(u),
                          objective=lambda u: 0.0)
         state = dc_solve(flip, np.array([1.0]), max_iter=7)
@@ -86,7 +85,7 @@ class TestDcSolve:
         assert state.k == 7
 
     def test_nonfinite_objective_rejected(self):
-        bad = DcProblem(g_solve=lambda s, w: (w, 0.0),
+        bad = DcProblem(g_solve=lambda s, w: w,
                         h_subgrad=lambda u: u,
                         objective=lambda u: np.inf)
         with pytest.raises(DcError):
@@ -102,50 +101,13 @@ class TestDcSolve:
             dc_solve(problem, np.array([1.0]))
         assert err.value.iteration == 0
 
-    def test_fixed_point_tolerance_mode(self):
-        def g_solve(s, warm):
-            return warm + 1e-9, 0.0
-
-        problem = DcProblem(g_solve=g_solve,
-                            h_subgrad=lambda u: np.zeros_like(u),
-                            objective=lambda u: 0.0)
-        state = dc_solve(problem, np.array([0.0]), fixed_point_tol=1e-6)
-        assert state.status == "converged_fixed_point"
-        assert state.k == 1
-
-
-class TestInexactMode:
-    def test_budget_tracked_and_enforced(self):
-        def g_solve(s, warm):
-            return np.array([s[0] / 2.0]), 0.1
-
-        problem = DcProblem(g_solve=g_solve, h_subgrad=lambda u: np.sign(u),
-                            objective=lambda u: float(u[0] ** 2 - abs(u[0])))
-        state = dc_solve(problem, np.array([1.0]), residual_budget=1.0)
-        assert sum(rec.residual ** 2 for rec in state.history) <= 1.0
-
-        with pytest.raises(DcError):
-            dc_solve(problem, np.array([1.0]), residual_budget=0.015,
-                     max_iter=10)
-
-    def test_budget_error_reports_iteration(self):
-        def g_solve(s, warm):
-            return warm + 1.0, 1.0
-
-        problem = DcProblem(g_solve=g_solve,
-                            h_subgrad=lambda u: np.zeros_like(u),
-                            objective=lambda u: 0.0)
-        with pytest.raises(DcError) as err:
-            dc_solve(problem, np.array([0.0]), residual_budget=2.5)
-        assert err.value.iteration == 2
-
 
 class TestHooks:
     def test_iteration_hook_and_stop_gate(self):
         seen = []
         # refuse to stop before iteration 3 even though every sweep is a
         # fixed point
-        problem = DcProblem(g_solve=lambda s, w: (w.copy(), 0.0),
+        problem = DcProblem(g_solve=lambda s, w: w.copy(),
                             h_subgrad=lambda u: np.zeros_like(u),
                             objective=lambda u: 0.0)
         state = dc_solve(problem, np.array([2.0]),
@@ -153,25 +115,6 @@ class TestHooks:
                          stop_allowed=lambda k: k >= 3)
         assert seen == [0, 1, 2, 3]
         assert state.k == 4
-
-
-class TestCriticality:
-    def test_toy_critical_point(self):
-        problem = quadratic_minus_abs()
-        assert criticality_residual(problem, np.array([0.5]),
-                                    np.array([1.0])) == 0.0
-
-    def test_solver_fixed_point_is_critical(self):
-        problem = quadratic_minus_abs()
-        state = dc_solve(problem, np.array([2.0]))
-        res = criticality_residual(problem, state.u, state.s)
-        assert res <= 1e-14
-
-    def test_random_points_not_critical(self, rng):
-        problem = quadratic_minus_abs()
-        for _ in range(10):
-            u = rng.standard_normal(1) + 2.0
-            assert criticality_residual(problem, u, np.sign(u)) > 0.0
 
 
 class TestSubgradientContract:

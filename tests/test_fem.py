@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import jittered_mesh
-from dcl0.fem import (MeshFormatError, _boundary_nodes,
+from dcl0.fem import (MeshFormatError, _assemble_nodes, _boundary_nodes,
                       _grid_laplacian_solver, assemble, build_structured_mesh,
                       export_mesh, import_mesh, read_field, write_field, w_of)
 from dcl0.measures import DiscreteMeasureSpace, weighted_l0, weighted_l1
@@ -135,6 +135,19 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError):
             import_mesh(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("nodes -2\n", "negative nodes count -2"),
+        ("nodes -2\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n",
+         "negative nodes count -2"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles -1\n",
+         "negative triangles count -1"),
+    ])
+    def test_negative_count(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match=message):
+            import_mesh(path)
+
     def test_field_round_trip(self, tmp_path):
         values = np.array([0.0, -1.5, 3.25e-17, 2.0 / 3.0])
         path = tmp_path / "field.txt"
@@ -165,13 +178,26 @@ class TestMeshIO:
 
 class TestAssembly:
     def test_zero_load(self):
-        system = assemble(build_structured_mesh(4), g=None)
-        assert np.array_equal(system.b_full, np.zeros(system.mesh.num_nodes))
+        mesh = build_structured_mesh(4)
+        _, _, b_full, _ = _assemble_nodes(mesh, g=None)
+        assert np.array_equal(b_full, np.zeros(mesh.num_nodes))
 
     def test_constants_in_stiffness_kernel(self):
-        system = assemble(build_structured_mesh(5))
-        ones = np.ones(system.mesh.num_nodes)
-        assert np.max(np.abs(system.A_full @ ones)) <= 1e-12
+        mesh = build_structured_mesh(5)
+        A_full, _, _, _ = _assemble_nodes(mesh)
+        ones = np.ones(mesh.num_nodes)
+        assert np.max(np.abs(A_full @ ones)) <= 1e-12
+
+    def test_free_block_of_node_matrices(self):
+        # assemble keeps the free rows and columns of the node matrices
+        mesh = jittered_mesh(6, seed=3)
+        A_full, M_full, b_full, areas = _assemble_nodes(mesh, default_load)
+        system = assemble(mesh, default_load)
+        free = system.free_nodes
+        for full, block in ((A_full, system.A), (M_full, system.M)):
+            assert (full[free][:, free] != block).nnz == 0
+        assert np.array_equal(b_full[free], system.b)
+        assert np.array_equal(areas, system.elem_measure)
 
     def test_stiffness_spd(self, rng):
         system = assemble(build_structured_mesh(6))
@@ -198,15 +224,17 @@ class TestAssembly:
                                system.patch_measure / 3.0, rtol=1e-13)
 
     def test_mass_row_sums(self):
-        system = assemble(build_structured_mesh(5))
-        row_sums = np.asarray(system.M_full.sum(axis=1)).ravel()
+        mesh = build_structured_mesh(5)
+        system = assemble(mesh)
+        _, M_full, _, _ = _assemble_nodes(mesh)
+        row_sums = np.asarray(M_full.sum(axis=1)).ravel()
         assert np.allclose(row_sums, system.basis_integral, rtol=1e-13)
 
     def test_stiffness_energy_against_analytic_elements(self, rng):
         # per-element linear interpolants: fit the affine function through
         # the vertex values and integrate the gradient product analytically
         mesh = build_structured_mesh(4)
-        system = assemble(mesh)
+        A_full, _, _, _ = _assemble_nodes(mesh)
         u = rng.standard_normal(mesh.num_nodes)
         v = rng.standard_normal(mesh.num_nodes)
         energy = 0.0
@@ -218,7 +246,7 @@ class TestAssembly:
             d1, d2 = p[1] - p[0], p[2] - p[0]
             area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
             energy += area * (cu[1] * cv[1] + cu[2] * cv[2])
-        assert float(u @ (system.A_full @ v)) == pytest.approx(energy, abs=1e-12)
+        assert float(u @ (A_full @ v)) == pytest.approx(energy, abs=1e-12)
 
     def test_load_exact_for_linear_g(self):
         mesh = build_structured_mesh(3)
@@ -226,14 +254,14 @@ class TestAssembly:
         def g(x, y):
             return 3.0 * x + 2.0 * y - 1.0
 
-        system = assemble(mesh, g)
+        _, _, b_full, _ = _assemble_nodes(mesh, g)
         exact = np.zeros(mesh.num_nodes)
         for t, tri in enumerate(mesh.triangles):
             for local, j in enumerate(tri):
                 def integrand(x, y, bary, local=local):
                     return g(x, y) * bary[local]
                 exact[j] += triangle_quadrature(mesh.nodes, tri, integrand)
-        assert np.allclose(system.b_full, exact, atol=1e-14)
+        assert np.allclose(b_full, exact, atol=1e-14)
 
     def test_unconstrained_energy_minimum(self):
         # solving A u = b minimizes the discrete energy, used as the solver

@@ -64,6 +64,18 @@ class TestSparsaSolve:
         F = f_tau_residual(res.u, H, q, L1Weights(w), tau=1.0 / alpha_final)
         assert np.linalg.norm(F) <= 1e-6 * (1.0 + np.linalg.norm(q))
 
+    @pytest.mark.parametrize("kwargs", [{"rel_tol": 0.0}, {"rel_tol": -1.0},
+                                        {"max_iter": 0}])
+    def test_config_rejects_invalid_values(self, kwargs):
+        with pytest.raises(ValueError):
+            SparsaConfig(**kwargs)
+
+    def test_rejects_negative_weights(self):
+        H = QuadraticOperator.from_matrix(sp.csr_matrix(np.eye(2)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            sparsa_solve(H, np.ones(2), np.array([1.0, -1.0]),
+                         SparsaConfig(), u0=np.zeros(2))
+
     def test_iteration_cap_raises(self, rng):
         mat = random_spd(rng, 10)
         H = QuadraticOperator.from_matrix(mat)

@@ -1,23 +1,32 @@
-"""The benchmark's tracer (perfbench/spans.py) patches dcl0 names by
-attribute; a refactor that drops one would otherwise only break a traced
-benchmark run."""
+"""The benchmark (perfbench/) patches dcl0 names by attribute in its tracer
+(spans.py) and reads solution fields in its checks (ops.py); a refactor that
+drops one would otherwise only break a benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from dcl0 import cli
+from dcl0 import cli, solver
+from dcl0.fem import assemble, build_structured_mesh
+from dcl0.problems import (ControlConfig, control_reduced, default_load,
+                           poisson_prototype)
+from dcl0.solver import L0PenaltyConfig, solve_l0_penalized
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("spans")
 
 
 def test_tracer_patches_and_counts(spans, tmp_path):
@@ -37,3 +46,24 @@ def test_tracer_patches_and_counts(spans, tmp_path):
                    "measures.oracle_calls"):
         assert layers[metric] > 0, metric
     assert not hasattr(cli.w_of, "__wrapped__")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: poisson_prototype(assemble(build_structured_mesh(8), default_load)),
+    lambda: control_reduced(assemble(build_structured_mesh(8)), ControlConfig()),
+], ids=["poisson", "control"])
+def test_benchmark_checks_pass(build, monkeypatch):
+    ops = load("ops")
+    converged = []
+    original = solver.ssn_solve
+
+    def ssn_solve(*args, **kwargs):
+        result = original(*args, **kwargs)
+        converged.append(bool(result.converged))
+        return result
+
+    monkeypatch.setattr(solver, "ssn_solve", ssn_solve)
+    problem = build()
+    sol = solve_l0_penalized(problem, problem.system,
+                             L0PenaltyConfig(K=ops.K, rho=ops.RHO))
+    assert ops.check_solution(sol, problem.system, ops.K, converged) == []
