@@ -32,34 +32,36 @@ class ConfigError(ValueError):
 def _fmt(value):
     if isinstance(value, float):
         return f"{value:.12g}"
-    if value is None:
-        return ""
     return str(value)
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+def _write_csv(path, rows):
+    """Write ``{column: value}`` rows under one header to a path or stdout."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return text
 
 
 def _load_config_file(path):
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -92,38 +94,37 @@ def _float_list(text):
 
 
 def _mesh_from(opts):
-    if getattr(opts, "mesh_file", None):
+    if opts.mesh_file:
         return import_mesh(opts.mesh_file)
     return build_structured_mesh(opts.n)
 
 
-def _solver_config(opts, total_measure):
+def _solver_config(opts):
+    # solve_l0_penalized validates the settings
     policy = opts.u0
     u0 = None
-    if getattr(opts, "u0_file", None):
+    if opts.u0_file:
         policy = "custom"
         u0 = read_field(opts.u0_file)
-    cfg = L0PenaltyConfig(K=opts.K, rho=opts.rho,
-                          schedule_lambda=opts.schedule,
-                          zero_sign_policy=opts.zero_sign,
-                          u0_policy=policy, u0=u0, max_iter=opts.max_iter)
-    cfg.validate(total_measure)
-    return cfg
+    return L0PenaltyConfig(K=opts.K, rho=opts.rho,
+                           schedule_lambda=opts.schedule,
+                           zero_sign_policy=opts.zero_sign,
+                           u0_policy=policy, u0=u0, max_iter=opts.max_iter)
 
 
 def _write_iters(path, solution):
     if not path:
         return
-    header = ["k", "K_k", "objective", "gap", "newton_iters", "ssn_residual"]
-    rows = [(row.k, row.K, row.objective, row.gap, row.newton_iters,
-             row.ssn_residual) for row in solution.history]
-    _write_csv(path, header, rows)
+    _write_csv(path, [{"k": row.k, "K_k": row.K, "objective": row.objective,
+                       "gap": row.gap, "newton_iters": row.newton_iters,
+                       "ssn_residual": row.ssn_residual}
+                      for row in solution.history])
 
 
 def _write_fields(opts, problem, system, u):
-    if getattr(opts, "solution_out", None):
+    if opts.solution_out:
         write_field(opts.solution_out, u)
-    if getattr(opts, "multiplier_out", None):
+    if opts.multiplier_out:
         write_field(opts.multiplier_out,
                     scaled_gradient(problem.smooth_grad(u), system))
 
@@ -172,25 +173,39 @@ COMMON_SPEC = {
 }
 
 
-def cmd_poisson(opts):
-    mesh = _mesh_from(opts)
-    system = assemble(mesh, default_load)
-    problem = poisson_prototype(system)
-    cfg = _solver_config(opts, float(system.elem_measure.sum()))
-    sol = solve_l0_penalized(problem, system, cfg)
+def _summary_row(opts, rho, sol, schedule, settings=(), errors=()):
+    """Summary CSV columns of one penalized solve, in order: the setting
+    (``settings`` after the penalty), the solution (``errors`` after the
+    gap), its counters and, for a scheduled solve, the schedule."""
+    row = {"n": opts.n, "K": opts.K, "rho": rho, **dict(settings),
+           "f": sol.objective, "l0": sol.l0, "gap": sol.gap, **dict(errors),
+           "dc_iters": sol.dc_iters, "ssn_iters": sol.newton_iters,
+           "selection_mode": "exact" if sol.gap_selection_exact else "greedy"}
+    if schedule is not None:
+        row.update(schedule_lambda=schedule, sched_steps=sol.schedule_steps)
+    return row
 
-    header = ["n", "K", "rho", "f", "l0", "gap", "dc_iters", "ssn_iters",
-              "selection_mode"]
-    row = [opts.n, opts.K, opts.rho, sol.objective, sol.l0,
-           sol.gap, sol.dc_iters, sol.newton_iters,
-           "exact" if sol.gap_selection_exact else "greedy"]
-    if opts.schedule is not None:
-        header += ["schedule_lambda", "sched_steps"]
-        row += [opts.schedule, sol.schedule_steps]
-    _write_csv(opts.csv, header, [row])
+
+def _penalized_runs(opts, system, runs):
+    """Solve each ``(problem, settings)`` of ``runs``, one summary row each;
+    the last solve writes the iteration CSV and fields and is verified."""
+    cfg = _solver_config(opts)
+    rows = []
+    for problem, settings in runs:
+        sol = solve_l0_penalized(problem, system, cfg)
+        errors = ({} if problem.tracking_error is None
+                  else {"tracking_error": problem.tracking_error(sol.u)})
+        rows.append(_summary_row(opts, opts.rho, sol, opts.schedule,
+                                 settings, errors))
+    _write_csv(opts.csv, rows)
     _write_iters(opts.iters_csv, sol)
     _write_fields(opts, problem, system, sol.u)
     return 0 if _self_check(opts, system, sol.l0, sol.gap) else 1
+
+
+def cmd_poisson(opts):
+    system = assemble(_mesh_from(opts), default_load)
+    return _penalized_runs(opts, system, [(poisson_prototype(system), {})])
 
 
 CONTROL_SPEC = dict(COMMON_SPEC)
@@ -203,36 +218,14 @@ CONTROL_SPEC.update({
 
 
 def cmd_control(opts):
-    mesh = _mesh_from(opts)
-    system = assemble(mesh)
-    betas = opts.betas if opts.betas else [opts.beta if opts.beta is not None
-                                           else opts.alpha]
+    system = assemble(_mesh_from(opts))
     y_d = read_field(opts.y_d_file) if opts.y_d_file else None
-    cfg = _solver_config(opts, float(system.elem_measure.sum()))
-
-    header = ["n", "K", "rho", "alpha", "beta", "f", "l0", "gap",
-              "tracking_error", "dc_iters", "ssn_iters", "selection_mode"]
-    if opts.schedule is not None:
-        header += ["schedule_lambda", "sched_steps"]
-    rows = []
-    last = None
-    for beta in betas:
-        ctrl = ControlConfig(alpha=opts.alpha, beta=beta, y_d=y_d)
-        problem = control_reduced(system, ctrl)
-        sol = solve_l0_penalized(problem, system, cfg)
-        row = [opts.n, opts.K, opts.rho, opts.alpha, beta,
-               sol.objective, sol.l0, sol.gap,
-               problem.tracking_error(sol.u), sol.dc_iters, sol.newton_iters,
-               "exact" if sol.gap_selection_exact else "greedy"]
-        if opts.schedule is not None:
-            row += [opts.schedule, sol.schedule_steps]
-        rows.append(row)
-        last = (problem, sol)
-    _write_csv(opts.csv, header, rows)
-    problem, sol = last
-    _write_iters(opts.iters_csv, sol)
-    _write_fields(opts, problem, system, sol.u)
-    return 0 if _self_check(opts, system, sol.l0, sol.gap) else 1
+    # one problem at a time, built just before its solve
+    ctrls = (ControlConfig(alpha=opts.alpha, beta=beta, y_d=y_d)
+             for beta in opts.betas or [opts.beta])
+    runs = ((control_reduced(system, ctrl),
+             {"alpha": ctrl.alpha, "beta": ctrl.beta}) for ctrl in ctrls)
+    return _penalized_runs(opts, system, runs)
 
 
 SPARSA_SPEC = dict(COMMON_SPEC)
@@ -244,8 +237,7 @@ SPARSA_SPEC.update({
 
 
 def cmd_sparsa(opts):
-    mesh = _mesh_from(opts)
-    system = assemble(mesh, default_load)
+    system = assemble(_mesh_from(opts), default_load)
     problem = poisson_prototype(system)
     cfg = SparsaConfig(rel_tol=opts.rel_tol, max_iter=opts.sparsa_max_iter)
     # read and length-check the start point even where beta = 0 ignores it
@@ -259,10 +251,9 @@ def cmd_sparsa(opts):
                            node_l1_weights(system, opts.beta), cfg, u0)
         u_full, iters = system.expand(res.u), res.iters
     l0, gap, _ = support_metrics(u_full, system, opts.K)
-    header = ["n", "K", "beta", "f", "l0", "gap", "iters"]
-    row = [opts.n, opts.K, opts.beta, problem.smooth_value(u_full), l0, gap,
-           iters]
-    _write_csv(opts.csv, header, [row])
+    _write_csv(opts.csv, [{"n": opts.n, "K": opts.K, "beta": opts.beta,
+                           "f": problem.smooth_value(u_full), "l0": l0,
+                           "gap": gap, "iters": iters}])
     _write_fields(opts, problem, system, u_full)
     return 0 if _self_check(opts, system, l0, gap) else 1
 
@@ -278,30 +269,19 @@ SWEEP_UNSUPPORTED = ("verify", "iters_csv", "multiplier_out")
 
 
 def cmd_sweep(opts):
-    mesh = _mesh_from(opts)
-    system = assemble(mesh, default_load)
+    system = assemble(_mesh_from(opts), default_load)
     problem = poisson_prototype(system)
-    cfg = _solver_config(opts, float(system.elem_measure.sum()))
-    solutions = penalty_sweep(problem, system, cfg, opts.rhos)
-    header = ["n", "K", "rho", "f", "l0", "gap", "dc_iters", "ssn_iters",
-              "selection_mode"]
-    rows = [[opts.n, opts.K, rho, sol.objective, sol.l0, sol.gap,
-             sol.dc_iters, sol.newton_iters,
-             "exact" if sol.gap_selection_exact else "greedy"]
-            for rho, sol in zip(opts.rhos, solutions)]
-    _write_csv(opts.csv, header, rows)
+    solutions = penalty_sweep(problem, system, _solver_config(opts), opts.rhos)
+    # only the first solve of a sweep runs the schedule: no schedule columns
+    _write_csv(opts.csv, [_summary_row(opts, rho, sol, None)
+                          for rho, sol in zip(opts.rhos, solutions)])
     if opts.solution_out:
         write_field(opts.solution_out, solutions[-1].u)
     return 0
 
 
-VERIFY_SPEC = {
-    "n": (int, 128),
-    "mesh_file": (str, None),
-    "K": (float, 0.25),
-    "csv": (str, None),
-    "solution_out": (str, None),
-}
+VERIFY_SPEC = {name: COMMON_SPEC[name]
+               for name in ("n", "mesh_file", "K", "csv", "solution_out")}
 
 
 def cmd_verify(opts):
@@ -324,15 +304,23 @@ def cmd_verify(opts):
     return 0 if ok else 1
 
 
+COMMANDS = {
+    "poisson": (cmd_poisson, COMMON_SPEC),
+    "control": (cmd_control, CONTROL_SPEC),
+    "sparsa": (cmd_sparsa, SPARSA_SPEC),
+    "sweep": (cmd_sweep, SWEEP_SPEC),
+    "verify": (cmd_verify, VERIFY_SPEC),
+}
+
+
 def _add_options(parser, spec):
     for name, (convert, _default) in spec.items():
         flag = "--" + name.replace("_", "-")
-        if convert is bool or name == "verify":
+        if name == "verify":
             parser.add_argument(flag, action="store_const", const=True,
                                 dest=name, default=None)
         else:
-            parser.add_argument(flag, type=convert if convert is not str else str,
-                                dest=name, default=None)
+            parser.add_argument(flag, type=convert, dest=name, default=None)
     parser.add_argument("--config", default=None)
 
 
@@ -341,20 +329,9 @@ def build_parser():
         prog="dcl0",
         description="support-measure constrained quadratic solver experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in (("poisson", COMMON_SPEC), ("control", CONTROL_SPEC),
-                       ("sparsa", SPARSA_SPEC), ("sweep", SWEEP_SPEC),
-                       ("verify", VERIFY_SPEC)):
+    for name, (_run, spec) in COMMANDS.items():
         _add_options(sub.add_parser(name), spec)
     return parser
-
-
-COMMANDS = {
-    "poisson": (cmd_poisson, COMMON_SPEC),
-    "control": (cmd_control, CONTROL_SPEC),
-    "sparsa": (cmd_sparsa, SPARSA_SPEC),
-    "sweep": (cmd_sweep, SWEEP_SPEC),
-    "verify": (cmd_verify, VERIFY_SPEC),
-}
 
 
 def _check_outputs(command, opts):
@@ -373,21 +350,17 @@ def main(argv=None) -> int:
     run, spec = COMMANDS[args.command]
     try:
         opts = _resolve(args, spec)
-        if not getattr(opts, "mesh_file", None) and getattr(opts, "n", 2) < 2:
+        if not opts.mesh_file and opts.n < 2:
             raise ConfigError("mesh resolution must be at least 2")
         _check_outputs(args.command, opts)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"dcl0: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return run(opts)
-    # MeshFormatError and OracleLimitError subclass ValueError: catch them
-    # before the configuration errors
+    # MeshFormatError and OracleLimitError subclass ValueError (as does
+    # ConfigError): catch them before the configuration errors
     except (DcError, SsnError, SparsaError, OracleLimitError,
             MeshFormatError, OSError) as exc:
         print(f"dcl0: solver failure: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"dcl0: config error: {exc}", file=sys.stderr)
         return 2
 

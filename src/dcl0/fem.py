@@ -82,7 +82,9 @@ def _boundary_nodes(triangles, num_nodes):
 
 def _validate(nodes, triangles):
     num_nodes = nodes.shape[0]
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= num_nodes):
+    if triangles.size == 0:
+        raise MeshFormatError("mesh has no triangles")
+    if triangles.min() < 0 or triangles.max() >= num_nodes:
         raise MeshFormatError("triangle refers to a node index out of range")
     repeated = ((triangles[:, 0] == triangles[:, 1])
                 | (triangles[:, 1] == triangles[:, 2])

@@ -82,6 +82,8 @@ class ControlConfig:
             self.beta = self.alpha
         if self.alpha <= 0.0 or self.beta <= 0.0:
             raise ValueError("regularization weights must be positive")
+        if not np.isfinite([self.alpha, self.beta]).all():
+            raise ValueError("regularization weights must be finite")
         if self.y_d is None:
             self.y_d = default_desired_state
 

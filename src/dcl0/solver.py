@@ -19,11 +19,10 @@ import numpy as np
 from . import dc
 from .fem import FemSystem, w_of
 from .measures import (BUDGET_RTOL, ZERO_THRESHOLD, DiscreteMeasureSpace,
-                       KSelection, largest_k_auto, largest_k_exact,
-                       largest_k_greedy, subgradient_largest_k, weighted_l0,
-                       weighted_l1)
+                       KSelection, largest_k_auto, largest_k_greedy,
+                       subgradient_largest_k, weighted_l0, weighted_l1)
 from .problems import ProblemDef
-from .ssn import L1Weights, SsnError, ssn_solve
+from .ssn import SSN_TOL, L1Weights, SsnError, ssn_solve
 
 __all__ = ["L0PenaltyConfig", "L0Solution", "IterationRow",
            "OptimalityReport", "solve_l0_penalized", "support_metrics",
@@ -31,9 +30,6 @@ __all__ = ["L0PenaltyConfig", "L0Solution", "IterationRow",
 
 ZERO_SIGN_POLICIES = ("zero", "plus", "minus", "sign_of_load")
 U0_POLICIES = ("unconstrained_solve", "zero", "custom")
-
-#: residual tolerance of every semismooth Newton subproblem solve
-SSN_TOL = 1e-14
 
 
 @dataclass
@@ -54,13 +50,14 @@ class L0PenaltyConfig:
     u0_policy: str = "unconstrained_solve"
     u0: np.ndarray = None
     max_iter: int = 500
-    subgrad_selection: str = "greedy"
 
     def validate(self, total_measure):
         if not 0.0 < self.K <= total_measure * (1.0 + BUDGET_RTOL):
             raise ValueError(f"K={self.K} outside (0, {total_measure}]")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
+        if not np.isfinite(self.rho):
+            raise ValueError("rho must be finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.schedule_lambda is not None and not 0.0 < self.schedule_lambda < 1.0:
@@ -71,8 +68,6 @@ class L0PenaltyConfig:
             raise ValueError(f"unknown u0_policy {self.u0_policy!r}")
         if self.u0_policy == "custom" and self.u0 is None:
             raise ValueError("u0_policy 'custom' needs an explicit u0")
-        if self.subgrad_selection not in ("greedy", "exact"):
-            raise ValueError("subgrad_selection must be 'greedy' or 'exact'")
 
 
 @dataclass
@@ -189,7 +184,6 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     free = system.free_nodes
     weights = L1Weights(cfg.rho * system.patch_measure[free])
     schedule = _BudgetSchedule(elems.total_measure(), cfg.K, cfg.schedule_lambda)
-    select = largest_k_exact if cfg.subgrad_selection == "exact" else largest_k_greedy
 
     load_full = system.expand(problem.q_smooth)
     zero_signs = {
@@ -200,7 +194,6 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     }[cfg.zero_sign_policy]
 
     rows = []
-    counters = {"newton": 0}
     # dc_solve evaluates the objective at an iterate and then, after the
     # hook, takes the subgradient at the same array: both share its element
     # sums, and its selection unless the hook moved the budget
@@ -211,7 +204,8 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
             last.update(u=u_full, w=w_of(u_full, system), budget=None)
         if last["budget"] != schedule.current:
             last.update(budget=schedule.current,
-                        sel=select(last["w"], elems, schedule.current))
+                        sel=largest_k_greedy(last["w"], elems,
+                                             schedule.current))
         return last["w"], last["sel"]
 
     def hook(k):
@@ -236,13 +230,12 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     def g_solve(s_full, warm_full):
         warm = system.restrict(warm_full)
         res = ssn_solve(problem.hessian, problem.q_smooth, weights,
-                        tol=SSN_TOL, u0=warm, tilt=s_full[free])
+                        u0=warm, tilt=s_full[free])
         if not res.converged:
             # dc_solve reports this as a DcError of the current sweep
             raise SsnError(f"semismooth Newton stopped after {res.iters} "
                            f"steps at residual {res.residual:.3e} "
                            f"(tol {SSN_TOL:g})")
-        counters["newton"] += res.iters
         rows[-1].newton_iters = res.iters
         rows[-1].ssn_residual = res.residual
         return system.expand(res.u)
@@ -275,7 +268,8 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
                       objective=float(problem.smooth_value(state.u)),
                       l0=l0, gap=float(gap),
                       gap_selection_exact=final_sel.exact,
-                      dc_iters=state.k, newton_iters=counters["newton"],
+                      dc_iters=state.k,
+                      newton_iters=sum(row.newton_iters for row in rows),
                       status=state.status, schedule_steps=schedule.steps,
                       diagnostics=report, history=rows)
 
@@ -338,6 +332,8 @@ def penalty_sweep(problem: ProblemDef, system: FemSystem,
     """Solve for each penalty value in increasing order, warm-starting every
     solve from the previous solution."""
     rhos = [float(r) for r in rhos]
+    if not rhos:
+        raise ValueError("no penalty values to sweep")
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("penalty values must be strictly increasing")
     solutions = []

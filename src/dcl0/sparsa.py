@@ -68,6 +68,8 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
     if np.any(w < 0.0):
         # a negative weight makes the L1 term concave
         raise ValueError("L1 weights must be nonnegative")
+    if not np.isfinite(w).all():
+        raise ValueError("L1 weights must be finite")
     u = np.asarray(u0, dtype=float).copy()
 
     def phi(v):

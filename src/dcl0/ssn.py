@@ -43,6 +43,12 @@ TAU_FLOOR = 1e-16
 #: relative residual at which conjugate gradients stop on a principal system
 CG_RTOL = 1e-12
 
+#: residual norm at which a semismooth Newton solve has converged
+SSN_TOL = 1e-14
+
+#: cap on the Newton steps of one semismooth Newton solve
+MAX_NEWTON = 50
+
 
 class SsnError(RuntimeError):
     """Subproblem solver failure (singular system, iteration cap)."""
@@ -171,14 +177,12 @@ def _residual_parts(u, base_g, tilt, c, tau):
     the residual is evaluated piecewise: ``u/tau`` on unclamped components,
     ``base_g - shift`` on clamped ones.
     """
-    g = base_g - tilt if tilt is not None else base_g
-    z = g - u / tau
+    z = (base_g - tilt) - u / tau
     inactive = np.abs(z) <= c
     F = np.where(inactive, u / tau, 0.0)
     active = ~inactive
-    sigma = np.sign(z[active]) * c[active]
     shift = np.zeros_like(u)
-    shift[active] = tilt[active] + sigma if tilt is not None else sigma
+    shift[active] = tilt[active] + np.sign(z[active]) * c[active]
     F[active] = base_g[active] - shift[active]
     return F, inactive, shift
 
@@ -189,6 +193,7 @@ def f_tau_residual(u, H: QuadraticOperator, q, weights: L1Weights, tau,
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     u = np.asarray(u, dtype=float)
+    tilt = np.zeros_like(u) if tilt is None else tilt
     base_g = H.apply(u) - q
     F, _, _ = _residual_parts(u, base_g, tilt, weights.c, tau)
     return F
@@ -213,9 +218,11 @@ class SsnResult:
     converged: bool
 
 
-def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, tau=None,
-              tol=1e-14, max_newton=50, u0=None, tilt=None) -> SsnResult:
-    """Semismooth Newton active-set iteration on ``F_tau(u) = 0``.
+def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
+              tilt=None) -> SsnResult:
+    """Semismooth Newton active-set iteration on ``F_tau(u) = 0``, with
+    :func:`default_tau` of the warm start; it converges at residual
+    :data:`SSN_TOL` and gives up after :data:`MAX_NEWTON` steps.
 
     Each step classifies components by the projection: where the projection
     is unclamped the component is fixed to zero, the clamped components keep
@@ -227,25 +234,14 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, tau=None,
     c = weights.c
     n = q.size
     u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    if tilt is not None:
-        tilt = np.asarray(tilt, dtype=float)
-    if tau is None:
-        tau = default_tau(u, weights)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-
-    if not np.any(c > 0.0):
-        rhs = q if tilt is None else q + tilt
-        sol = H.solve_principal(np.arange(n), rhs, x0=u)
-        res = float(np.linalg.norm(f_tau_residual(sol, H, q, weights, tau,
-                                                  tilt=tilt)))
-        return SsnResult(u=sol, residual=res, iters=1, converged=res <= tol)
+    tilt = np.zeros(n) if tilt is None else np.asarray(tilt, dtype=float)
+    tau = default_tau(u, weights)
 
     best_u, best_res = u, np.inf
     stall = 0
     lipschitz = None
     iters = 0
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         base_g = H.apply(u) - q
         F, inactive, shift = _residual_parts(u, base_g, tilt, c, tau)
         res = float(np.linalg.norm(F))
@@ -254,7 +250,7 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, tau=None,
             stall = 0
         else:
             stall += 1
-        if res <= tol:
+        if res <= SSN_TOL:
             return SsnResult(u=u, residual=res, iters=iters, converged=True)
 
         if stall >= 5:
@@ -264,9 +260,7 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, tau=None,
             target = 0.5 * best_res
             v = u.copy()
             for _ in range(2000):
-                grad = H.apply(v) - q
-                if tilt is not None:
-                    grad = grad - tilt
+                grad = H.apply(v) - q - tilt
                 v = _soft_threshold(v - grad / lipschitz, c / lipschitz)
                 r = float(np.linalg.norm(f_tau_residual(v, H, q, weights, tau,
                                                         tilt=tilt)))
@@ -284,9 +278,7 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, tau=None,
         iters += 1
         u = u_new
 
-    res = float(np.linalg.norm(f_tau_residual(best_u, H, q, weights, tau,
-                                              tilt=tilt)))
-    return SsnResult(u=best_u, residual=res, iters=iters, converged=False)
+    return SsnResult(u=best_u, residual=best_res, iters=iters, converged=False)
 
 
 def _soft_threshold(v, thresh):

@@ -122,14 +122,38 @@ class TestPoissonCommand:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_empty_mesh_fails(self, tmp_path, capsys):
+        path = tmp_path / "mesh.txt"
+        path.write_text("nodes 0\ntriangles 0\n")
+        csv = tmp_path / "run.csv"
+        assert run("poisson", "--mesh-file", str(path),
+                   "--csv", str(csv)) == 1
+        err = capsys.readouterr().err
+        assert err == "dcl0: solver failure: mesh has no triangles\n"
+        assert not csv.exists()
+
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.conf"
+        assert run("poisson", "--config", str(missing)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dcl0: config error: [Errno 2] ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["poisson", "--n", "8", "--max-iter", "0"],
         ["sparsa", "--n", "8", "--rel-tol", "-1", "--sparsa-max-iter", "5"],
         ["sparsa", "--n", "8", "--rel-tol", "0"],
         ["sparsa", "--n", "8", "--sparsa-max-iter", "0"],
         ["sparsa", "--n", "8", "--beta", "-1"],
+        ["poisson", "--n", "8", "--rho", "nan"],
+        ["poisson", "--n", "8", "--rho", "inf"],
+        ["control", "--n", "8", "--alpha", "nan"],
+        ["control", "--n", "8", "--beta", "inf"],
+        ["sparsa", "--n", "8", "--beta", "nan"],
+        ["sweep", "--n", "4", "--rhos", ","],
     ], ids=["max-iter-0", "rel-tol-negative", "rel-tol-zero",
-            "sparsa-max-iter-0", "negative-beta"])
+            "sparsa-max-iter-0", "negative-beta", "rho-nan", "rho-inf",
+            "alpha-nan", "beta-inf", "sparsa-beta-nan", "sweep-no-rhos"])
     def test_invalid_setting_is_a_config_error(self, tmp_path, capsys, argv):
         csv = tmp_path / "run.csv"
         assert run(*argv, "--csv", str(csv)) == 2
@@ -236,6 +260,14 @@ class TestSweepCommand:
         rhos = [float(dict(zip(header, ln.split(",")))["rho"])
                 for ln in lines[1:]]
         assert rhos == sorted(rhos) == [1e3, 1e6, 1e9]
+
+    def test_empty_penalty_list_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "u.txt"
+        assert run("sweep", "--n", "4", "--rhos", "",
+                   "--solution-out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "dcl0: config error: no penalty values to sweep\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--verify", "--iters-csv",
                                       "--multiplier-out"])

@@ -129,6 +129,14 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError):
             import_mesh(path)
 
+    @pytest.mark.parametrize("text", ["nodes 0\ntriangles 0\n",
+                                      "nodes 3\n0 0\n1 0\n0 1\ntriangles 0\n"])
+    def test_mesh_without_triangles(self, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match="no triangles"):
+            import_mesh(path)
+
     def test_parse_failure(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("vertices 3\n")

@@ -107,6 +107,11 @@ class TestControlReduced:
             ControlConfig(alpha=0.0)
         with pytest.raises(ValueError):
             ControlConfig(alpha=1e-7, beta=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ControlConfig(alpha=bad)
+            with pytest.raises(ValueError, match="finite"):
+                ControlConfig(alpha=1e-7, beta=bad)
 
     def test_beta_defaults_to_alpha(self):
         cfg = ControlConfig(alpha=1e-5)

@@ -1,11 +1,10 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
 
 from conftest import jittered_mesh
-from dcl0 import solver
+from dcl0 import solver, ssn
 from dcl0.dc import DcError
 from dcl0.fem import assemble, build_structured_mesh, w_of
 from dcl0.measures import (DiscreteMeasureSpace, largest_k_auto, weighted_l0,
@@ -33,10 +32,11 @@ class TestConfigValidation:
         problem, system = setup16
         for bad in (L0PenaltyConfig(K=0.0), L0PenaltyConfig(K=1.5),
                     L0PenaltyConfig(K=0.25, rho=0.0),
+                    L0PenaltyConfig(K=0.25, rho=np.nan),
+                    L0PenaltyConfig(K=0.25, rho=np.inf),
                     L0PenaltyConfig(K=0.25, schedule_lambda=1.0),
                     L0PenaltyConfig(K=0.25, zero_sign_policy="maybe"),
                     L0PenaltyConfig(K=0.25, u0_policy="custom"),
-                    L0PenaltyConfig(K=0.25, subgrad_selection="random"),
                     L0PenaltyConfig(K=0.25, max_iter=0)):
             with pytest.raises(ValueError):
                 solve_l0_penalized(problem, system, bad)
@@ -96,13 +96,6 @@ class TestPrototypeSolve:
         assert np.max(np.abs(sol.u)) > 0.0
         assert abs(sol.gap) <= 1e-12 * max(1.0, sol.l0)
 
-    def test_exact_subgradient_selection_mode(self, setup16):
-        problem, system = setup16
-        cfg = L0PenaltyConfig(K=0.25, rho=1e9, subgrad_selection="exact")
-        sol = solve_l0_penalized(problem, system, cfg)
-        assert abs(sol.gap) <= 1e-12
-        assert sol.status == "converged_fixed_point"
-
 
 class TestSchedule:
     def test_reduction_count(self, setup16):
@@ -129,8 +122,7 @@ class TestSchedule:
 
     def test_unconverged_subproblem_is_an_error(self, setup16, monkeypatch):
         problem, system = setup16
-        monkeypatch.setattr(solver, "ssn_solve",
-                            functools.partial(solver.ssn_solve, max_newton=1))
+        monkeypatch.setattr(ssn, "MAX_NEWTON", 1)
         cfg = L0PenaltyConfig(K=0.25, rho=1e9, schedule_lambda=0.9)
         with pytest.raises(DcError, match="semismooth Newton stopped"):
             solve_l0_penalized(problem, system, cfg)
@@ -194,6 +186,11 @@ class TestPenaltySweep:
         with pytest.raises(ValueError):
             penalty_sweep(problem, system, L0PenaltyConfig(K=0.25),
                           [1e6, 1e3])
+
+    def test_requires_a_penalty(self, setup16):
+        problem, system = setup16
+        with pytest.raises(ValueError, match="no penalty values"):
+            penalty_sweep(problem, system, L0PenaltyConfig(K=0.25), [])
 
     def test_feasible_across_penalties(self, setup16):
         problem, system = setup16

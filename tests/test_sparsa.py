@@ -76,6 +76,13 @@ class TestSparsaSolve:
             sparsa_solve(H, np.ones(2), np.array([1.0, -1.0]),
                          SparsaConfig(), u0=np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        H = QuadraticOperator.from_matrix(sp.csr_matrix(np.eye(2)))
+        with pytest.raises(ValueError, match="finite"):
+            sparsa_solve(H, np.ones(2), np.array([1.0, bad]),
+                         SparsaConfig(), u0=np.zeros(2))
+
     def test_iteration_cap_raises(self, rng):
         mat = random_spd(rng, 10)
         H = QuadraticOperator.from_matrix(mat)

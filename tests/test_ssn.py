@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import jittered_mesh, random_spd, random_spd_operator
+from dcl0 import ssn
 from dcl0.fem import assemble
 from dcl0.ssn import (L1Weights, QuadraticOperator, SsnError, default_tau,
                       f_tau_residual, prox_grad_oracle, ssn_solve)
@@ -78,9 +79,10 @@ class TestFTauResidual:
         assert F[0] == 0.0
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            f_tau_residual(np.zeros(1), scalar_op(1.0), np.zeros(1),
-                           L1Weights([1.0]), tau=0.0)
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                f_tau_residual(np.zeros(1), scalar_op(1.0), np.zeros(1),
+                               L1Weights([1.0]), tau=tau)
 
     def test_permutation_equivariance(self, rng):
         n = 15
@@ -182,17 +184,13 @@ class TestSsnSolve:
         assert second.iters == 0
         assert np.array_equal(second.u, first.u)
 
-    def test_max_newton_flag(self, rng):
+    def test_max_newton_flag(self, rng, monkeypatch):
+        monkeypatch.setattr(ssn, "MAX_NEWTON", 0)
         n = 10
         H = random_spd_operator(rng, n)
         q = rng.standard_normal(n) * 10.0
-        res = ssn_solve(H, q, L1Weights(np.full(n, 0.1)), max_newton=0)
+        res = ssn_solve(H, q, L1Weights(np.full(n, 0.1)))
         assert not res.converged
-
-    def test_rejects_bad_tau(self, rng):
-        H = random_spd_operator(rng, 3)
-        with pytest.raises(ValueError):
-            ssn_solve(H, np.ones(3), L1Weights(np.ones(3)), tau=-1.0)
 
 
 class TestDefaultTau:
