@@ -192,6 +192,16 @@ class TestSsnSolve:
         res = ssn_solve(H, q, L1Weights(np.full(n, 0.1)))
         assert not res.converged
 
+    def test_rejects_bad_tau(self, rng):
+        # tau is not a caller's choice: a supplied value is refused, and the
+        # one ssn_solve derives from the warm start is positive even at zero
+        H = random_spd_operator(rng, 3)
+        weights = L1Weights(np.ones(3))
+        with pytest.raises(TypeError):
+            ssn_solve(H, np.ones(3), weights, tau=-1.0)
+        assert default_tau(np.zeros(3), weights) > 0.0
+        assert ssn_solve(H, np.ones(3), weights, u0=np.zeros(3)).converged
+
 
 class TestDefaultTau:
     def test_scales_with_iterate_and_thresholds(self):
