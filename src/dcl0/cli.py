@@ -1,9 +1,12 @@
 """Experiment driver: reproduces the solver study tables and emits CSV rows
 plus plain-text nodal fields for plotting.
 
-Subcommands: poisson | control | sparsa | sweep | verify.  Options resolve
-as flags > config file (key=value lines) > defaults.  Exit codes: 0 success,
-1 solver failure, 2 configuration error.
+Subcommands: poisson | control | sparsa | sweep | verify.  Each accepts only
+the options of its own table in ``COMMANDS``.  The ``key = value`` lines of
+``--config FILE`` act as ``--key=value`` flags placed ahead of the command
+line, so a flag given on the command line wins; a key that is not an option
+of the command is an error.  Exit codes: 0 success, 1 solver failure,
+2 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -47,13 +50,15 @@ def _write_csv(path, rows):
         sys.stdout.write(text)
 
 
-def _load_config_file(path):
+def _config_flags(path, spec):
+    """The ``key = value`` lines of a config file as ``--key=value`` flags;
+    every key must name an option of ``spec``."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
-    values = {}
+    flags, unknown = [], set()
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -61,32 +66,20 @@ def _load_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _resolve(args, option_spec):
-    """Merge CLI flags, config-file entries and defaults."""
-    from_file = {}
-    if getattr(args, "config", None):
-        from_file = _load_config_file(args.config)
-    resolved = {}
-    for name, (convert, default) in option_spec.items():
-        flag = getattr(args, name, None)
-        if flag is not None:
-            resolved[name] = flag
-        elif name in from_file:
-            raw = from_file[name]
-            try:
-                resolved[name] = convert(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config value {name}={raw!r}: {exc}") from exc
-        else:
-            resolved[name] = default
-    unknown = set(from_file) - set(option_spec)
+        name = key.strip().replace("-", "_")
+        if name not in spec:
+            unknown.add(name)
+        flags.append(f"--{name.replace('_', '-')}={val.strip()}")
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return argparse.Namespace(**resolved)
+    return flags
+
+
+def boolean(text):
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return word in ("1", "true", "yes")
 
 
 def _float_list(text):
@@ -99,17 +92,18 @@ def _mesh_from(opts):
     return build_structured_mesh(opts.n)
 
 
-def _solver_config(opts):
+def _solver_config(opts, **settings):
     # solve_l0_penalized validates the settings
-    policy = opts.u0
     u0 = None
     if opts.u0_file:
-        policy = "custom"
+        if opts.u0 not in (None, "custom"):
+            raise ConfigError(f"--u0 {opts.u0} conflicts with --u0-file")
         u0 = read_field(opts.u0_file)
-    return L0PenaltyConfig(K=opts.K, rho=opts.rho,
-                           schedule_lambda=opts.schedule,
+    policy = "custom" if u0 is not None else opts.u0 or "unconstrained_solve"
+    return L0PenaltyConfig(K=opts.K, schedule_lambda=opts.schedule,
                            zero_sign_policy=opts.zero_sign,
-                           u0_policy=policy, u0=u0, max_iter=opts.max_iter)
+                           u0_policy=policy, u0=u0, max_iter=opts.max_iter,
+                           **settings)
 
 
 def _write_iters(path, solution):
@@ -155,21 +149,31 @@ def _self_check(opts, system, reported_l0, reported_gap):
     return ok
 
 
-COMMON_SPEC = {
+# option tables: {dest: (type, default)}, one per command, from three groups
+
+#: mesh, budget and summary CSV: every command
+MESH_SPEC = {
     "n": (int, 128),
     "mesh_file": (str, None),
     "K": (float, 0.25),
-    "rho": (float, 1e9),
+    "csv": (str, None),
+}
+
+#: DC-solve settings: poisson, control and sweep; the start point is the
+#: unconstrained solution, or --u0-file with --u0 unset or custom
+DC_SPEC = {
     "schedule": (float, None),
     "zero_sign": (str, "zero"),
-    "u0": (str, "unconstrained_solve"),
+    "u0": (str, None),
     "u0_file": (str, None),
     "max_iter": (int, 500),
-    "csv": (str, None),
-    "iters_csv": (str, None),
+}
+
+#: outputs of a single run: poisson, control and sparsa
+RUN_OUTPUT_SPEC = {
     "solution_out": (str, None),
     "multiplier_out": (str, None),
-    "verify": (lambda s: s.lower() in ("1", "true", "yes"), False),
+    "verify": (boolean, False),
 }
 
 
@@ -189,7 +193,7 @@ def _summary_row(opts, rho, sol, schedule, settings=(), errors=()):
 def _penalized_runs(opts, system, runs):
     """Solve each ``(problem, settings)`` of ``runs``, one summary row each;
     the last solve writes the iteration CSV and fields and is verified."""
-    cfg = _solver_config(opts)
+    cfg = _solver_config(opts, rho=opts.rho)
     rows = []
     for problem, settings in runs:
         sol = solve_l0_penalized(problem, system, cfg)
@@ -203,21 +207,25 @@ def _penalized_runs(opts, system, runs):
     return 0 if _self_check(opts, system, sol.l0, sol.gap) else 1
 
 
+POISSON_SPEC = {**MESH_SPEC, "rho": (float, 1e9), **DC_SPEC,
+                "iters_csv": (str, None), **RUN_OUTPUT_SPEC}
+
+
 def cmd_poisson(opts):
     system = assemble(_mesh_from(opts), default_load)
     return _penalized_runs(opts, system, [(poisson_prototype(system), {})])
 
 
-CONTROL_SPEC = dict(COMMON_SPEC)
-CONTROL_SPEC.update({
-    "alpha": (float, 1e-7),
-    "beta": (float, None),
-    "betas": (_float_list, None),
-    "y_d_file": (str, None),
-})
+CONTROL_SPEC = {**POISSON_SPEC,
+                "alpha": (float, 1e-7),
+                "beta": (float, None),
+                "betas": (_float_list, None),
+                "y_d_file": (str, None)}
 
 
 def cmd_control(opts):
+    if opts.beta is not None and opts.betas is not None:
+        raise ConfigError("--beta conflicts with --betas")
     system = assemble(_mesh_from(opts))
     y_d = read_field(opts.y_d_file) if opts.y_d_file else None
     # one problem at a time, built just before its solve
@@ -228,12 +236,10 @@ def cmd_control(opts):
     return _penalized_runs(opts, system, runs)
 
 
-SPARSA_SPEC = dict(COMMON_SPEC)
-SPARSA_SPEC.update({
-    "beta": (float, 4.360),
-    "rel_tol": (float, 1e-5),
-    "sparsa_max_iter": (int, 20_000),
-})
+SPARSA_SPEC = {**MESH_SPEC, "u0_file": DC_SPEC["u0_file"], **RUN_OUTPUT_SPEC,
+               "beta": (float, 4.360),
+               "rel_tol": (float, 1e-5),
+               "sparsa_max_iter": (int, 20_000)}
 
 
 def cmd_sparsa(opts):
@@ -258,14 +264,9 @@ def cmd_sparsa(opts):
     return 0 if _self_check(opts, system, l0, gap) else 1
 
 
-SWEEP_SPEC = dict(COMMON_SPEC)
-SWEEP_SPEC.update({
-    "rhos": (_float_list, [1e3, 1e6, 1e9, 1e12]),
-})
-
-
-#: options of COMMON_SPEC that a sweep has no single run to apply to
-SWEEP_UNSUPPORTED = ("verify", "iters_csv", "multiplier_out")
+SWEEP_SPEC = {**MESH_SPEC, **DC_SPEC,
+              "solution_out": RUN_OUTPUT_SPEC["solution_out"],
+              "rhos": (_float_list, [1e3, 1e6, 1e9, 1e12])}
 
 
 def cmd_sweep(opts):
@@ -280,8 +281,7 @@ def cmd_sweep(opts):
     return 0
 
 
-VERIFY_SPEC = {name: COMMON_SPEC[name]
-               for name in ("n", "mesh_file", "K", "csv", "solution_out")}
+VERIFY_SPEC = {**MESH_SPEC, "solution_out": RUN_OUTPUT_SPEC["solution_out"]}
 
 
 def cmd_verify(opts):
@@ -305,7 +305,7 @@ def cmd_verify(opts):
 
 
 COMMANDS = {
-    "poisson": (cmd_poisson, COMMON_SPEC),
+    "poisson": (cmd_poisson, POISSON_SPEC),
     "control": (cmd_control, CONTROL_SPEC),
     "sparsa": (cmd_sparsa, SPARSA_SPEC),
     "sweep": (cmd_sweep, SWEEP_SPEC),
@@ -314,13 +314,11 @@ COMMANDS = {
 
 
 def _add_options(parser, spec):
-    for name, (convert, _default) in spec.items():
-        flag = "--" + name.replace("_", "-")
-        if name == "verify":
-            parser.add_argument(flag, action="store_const", const=True,
-                                dest=name, default=None)
-        else:
-            parser.add_argument(flag, type=convert, dest=name, default=None)
+    for name, (convert, default) in spec.items():
+        # a bare --verify means --verify=true, the form a config line gives
+        bare = {"nargs": "?", "const": True} if convert is boolean else {}
+        parser.add_argument("--" + name.replace("_", "-"), type=convert,
+                            default=default, **bare)
     parser.add_argument("--config", default=None)
 
 
@@ -330,30 +328,29 @@ def build_parser():
         description="support-measure constrained quadratic solver experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_run, spec) in COMMANDS.items():
-        _add_options(sub.add_parser(name), spec)
+        # no abbreviations: --rho must not stand for sweep's --rhos
+        _add_options(sub.add_parser(name, allow_abbrev=False), spec)
     return parser
 
 
-def _check_outputs(command, opts):
-    """Reject output options that the command cannot honour."""
-    if command == "sweep":
-        given = [name for name in SWEEP_UNSUPPORTED if getattr(opts, name)]
-        if given:
-            raise ConfigError("sweep does not support " + ", ".join(
-                "--" + name.replace("_", "-") for name in given))
-    elif getattr(opts, "verify", False) and not opts.solution_out:
-        raise ConfigError(f"{command} --verify needs --solution-out")
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    run, spec = COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        opts = _resolve(args, spec)
+        opts = parser.parse_args(argv)
+        run, spec = COMMANDS[opts.command]
+        if opts.config:
+            at = argv.index(opts.command) + 1
+            opts = parser.parse_args(
+                argv[:at] + _config_flags(opts.config, spec) + argv[at:])
         if not opts.mesh_file and opts.n < 2:
             raise ConfigError("mesh resolution must be at least 2")
-        _check_outputs(args.command, opts)
+        if getattr(opts, "verify", False) and not opts.solution_out:
+            raise ConfigError(f"{opts.command} --verify needs --solution-out")
         return run(opts)
+    except SystemExit as exc:
+        # argparse has printed the usage error (status 2) or --help (0)
+        return exc.code
     # MeshFormatError and OracleLimitError subclass ValueError (as does
     # ConfigError): catch them before the configuration errors
     except (DcError, SsnError, SparsaError, OracleLimitError,

@@ -47,8 +47,8 @@ class DcState:
     status: str = "running"
 
 
-def dc_solve(problem: DcProblem, u0, max_iter=500, iteration_hook=None,
-             stop_allowed=None) -> DcState:
+def dc_solve(problem: DcProblem, u0, max_iter=500, *, iteration_hook,
+             stop_allowed) -> DcState:
     """Run the DC iteration from ``u0``.
 
     Stops when the new iterate equals the previous one exactly or after
@@ -60,8 +60,7 @@ def dc_solve(problem: DcProblem, u0, max_iter=500, iteration_hook=None,
         raise DcError("objective not finite at the starting point", 0)
     state = DcState(u=u, k=0)
     for k in range(max_iter):
-        if iteration_hook is not None:
-            iteration_hook(k)
+        iteration_hook(k)
         s = problem.h_subgrad(u)
         try:
             u_next = np.asarray(problem.g_solve(s, u), dtype=float)
@@ -71,7 +70,7 @@ def dc_solve(problem: DcProblem, u0, max_iter=500, iteration_hook=None,
         state.k = k + 1
         at_fixed_point = np.array_equal(u_next, u)
         u = state.u = u_next
-        if at_fixed_point and (stop_allowed is None or stop_allowed(k)):
+        if at_fixed_point and stop_allowed(k):
             state.status = "converged_fixed_point"
             return state
     state.status = "max_iter"

@@ -97,7 +97,6 @@ class OptimalityReport:
     off_support_max: float
     max_scaled_gradient: float
     exact_penalty: bool
-    selection_exact: bool
 
 
 @dataclass
@@ -323,8 +322,7 @@ def optimality_report(u, problem: ProblemDef, system: FemSystem, rho,
     return OptimalityReport(pairing=pairing, support_in_selection_max=in_sel,
                             support_off_selection_max=off_sel,
                             off_support_max=off_supp, max_scaled_gradient=gmax,
-                            exact_penalty=bool(rho > gmax),
-                            selection_exact=selection.exact)
+                            exact_penalty=bool(rho > gmax))
 
 
 def penalty_sweep(problem: ProblemDef, system: FemSystem,

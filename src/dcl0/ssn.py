@@ -205,8 +205,7 @@ def default_tau(warm_start, weights: L1Weights):
     cmax = float(weights.c.max()) if weights.c.size else 0.0
     if cmax <= 0.0:
         return 1.0
-    umax = float(np.max(np.abs(warm_start))) if warm_start is not None else 0.0
-    umax = max(umax, np.finfo(float).eps)
+    umax = max(float(np.max(np.abs(warm_start))), np.finfo(float).eps)
     return max(100.0 * umax / cmax, TAU_FLOOR)
 
 

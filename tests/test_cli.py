@@ -1,7 +1,10 @@
+import argparse
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dcl0.cli import main
+from dcl0.cli import build_parser, main
 from dcl0.fem import (assemble, build_structured_mesh, export_mesh,
                       read_field, write_field)
 from dcl0.problems import default_load, poisson_prototype
@@ -169,6 +172,17 @@ class TestPoissonCommand:
         assert not csv.exists()
 
 
+    def test_u0_file_conflicts_with_other_start_policy(self, tmp_path):
+        start = tmp_path / "u0.txt"
+        write_field(start, np.zeros(81))
+        csv = tmp_path / "run.csv"
+        assert run("poisson", "--n", "8", "--u0", "zero",
+                   "--u0-file", str(start), "--csv", str(csv)) == 2
+        assert not csv.exists()
+        assert run("poisson", "--n", "8", "--u0", "custom",
+                   "--u0-file", str(start), "--csv", str(csv)) == 0
+
+
 class TestVerifyFlag:
     @pytest.mark.parametrize("command", ["poisson", "control", "sparsa"])
     def test_needs_solution_out(self, tmp_path, command):
@@ -249,6 +263,13 @@ class TestControlCommand:
         assert np.max(np.abs(read_field(sol))) <= 1e-12
 
 
+    def test_beta_conflicts_with_betas(self, tmp_path):
+        csv = tmp_path / "ctl.csv"
+        assert run("control", "--n", "8", "--beta", "1e-3",
+                   "--betas", "1e-7", "--csv", str(csv)) == 2
+        assert not csv.exists()
+
+
 class TestSweepCommand:
     def test_rows_ordered_by_rho(self, tmp_path):
         csv = tmp_path / "sweep.csv"
@@ -315,3 +336,61 @@ class TestVerifyCommand:
         assert run("verify", "--csv", str(csv), "--solution-out", str(sol),
                    "--n", "8", "--K", "0.25") == 2
         assert "config error" in capsys.readouterr().err
+
+
+# options a command does not read, each with a value it would otherwise take
+DROPPED = [("sparsa", "rho", "1e9"), ("sparsa", "schedule", "0.9"),
+           ("sparsa", "zero-sign", "plus"), ("sparsa", "u0", "zero"),
+           ("sparsa", "max-iter", "5"), ("sparsa", "iters-csv", "it.csv"),
+           ("sweep", "rho", "1e9"), ("sweep", "verify", "true"),
+           ("sweep", "iters-csv", "it.csv"),
+           ("sweep", "multiplier-out", "mult.txt")]
+
+
+def readme_option_table():
+    """``{command: options}`` from the README's per-command option table."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("| option |"))
+    commands = [cell.strip() for cell in lines[start].split("|")[2:-2]]
+    table = {command: set() for command in commands}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        option, *marks = [cell.strip() for cell in line.split("|")[1:-2]]
+        for command, mark in zip(commands, marks):
+            if mark:
+                table[command].add(option.strip("`"))
+    return table
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("command, option, value", DROPPED,
+                             ids=[f"{c}--{o}" for c, o, _ in DROPPED])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_dropped_option_is_rejected(self, tmp_path, monkeypatch,
+                                        command, option, value, form):
+        monkeypatch.chdir(tmp_path)
+        if form == "flag":
+            given = [f"--{option}", value]
+        else:
+            (tmp_path / "run.conf").write_text(f"{option} = {value}\n")
+            given = ["--config", "run.conf"]
+        assert run(command, "--n", "4", "--csv", "run.csv", *given) == 2
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [] if form == "flag" else ["run.conf"])
+
+    def test_wrong_typed_config_value(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("n = x\n")
+        assert run("poisson", "--config", str(config)) == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_readme_table_matches_parser(self):
+        parser = build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        accepted = {name: {flag for action in cmd._actions
+                           for flag in action.option_strings} - {"-h", "--help"}
+                    for name, cmd in sub.choices.items()}
+        assert readme_option_table() == accepted

@@ -4,6 +4,12 @@ import pytest
 from dcl0.dc import DcError, DcProblem, dc_solve
 
 
+def run(problem, u0, **kwargs):
+    """``dc_solve`` with a no-op hook and no veto on termination."""
+    return dc_solve(problem, u0, iteration_hook=lambda k: None,
+                    stop_allowed=lambda k: True, **kwargs)
+
+
 def quadratic_minus_abs():
     """1-d toy: g(u) = u^2, h(u) = |u|; critical points at +-1/2 and 0."""
 
@@ -37,7 +43,7 @@ def pure_quadratic(H, q):
 class TestDcSolve:
     def test_toy_hand_iteration(self):
         # u0=1: s=1, u1 = 1/2; s=1, u2 = 1/2 -> fixed point at 1/2
-        state = dc_solve(quadratic_minus_abs(), np.array([1.0]))
+        state = run(quadratic_minus_abs(), np.array([1.0]))
         assert state.status == "converged_fixed_point"
         assert state.u[0] == 0.5
         assert state.k == 2
@@ -46,14 +52,14 @@ class TestDcSolve:
     def test_vanishing_h_solves_in_one_sweep(self, rng):
         H = np.diag([2.0, 5.0, 1.0])
         q = np.array([1.0, -2.0, 0.5])
-        state = dc_solve(pure_quadratic(H, q), rng.standard_normal(3))
+        state = run(pure_quadratic(H, q), rng.standard_normal(3))
         expected = np.linalg.solve(H, q)
         assert np.allclose(state.u, expected, rtol=1e-14)
         assert np.allclose(state.objectives[0], state.objectives[-1])
         assert state.k <= 2
 
     def test_fixed_point_start_confirms_immediately(self):
-        state = dc_solve(quadratic_minus_abs(), np.array([0.5]))
+        state = run(quadratic_minus_abs(), np.array([0.5]))
         assert state.status == "converged_fixed_point"
         assert state.k == 1
         assert state.u[0] == 0.5
@@ -61,14 +67,13 @@ class TestDcSolve:
     def test_monotone_descent(self, rng):
         # descent holds for every DC run with exact subproblem solves
         for _ in range(10):
-            state = dc_solve(quadratic_minus_abs(),
-                             rng.standard_normal(1) * 10.0)
+            state = run(quadratic_minus_abs(), rng.standard_normal(1) * 10.0)
             vals = state.objectives
             assert np.all(np.diff(vals) <= 1e-12 * (1.0 + abs(vals[0])))
 
     def test_equal_objectives_imply_fixed_point(self, rng):
         # strongly convex g: equal consecutive values only at a fixed point
-        state = dc_solve(quadratic_minus_abs(), np.array([3.0]))
+        state = run(quadratic_minus_abs(), np.array([3.0]))
         vals = state.objectives
         for i in range(len(vals) - 1):
             if vals[i + 1] == vals[i]:
@@ -80,7 +85,7 @@ class TestDcSolve:
         flip = DcProblem(g_solve=lambda s, w: -w,
                          h_subgrad=lambda u: np.zeros_like(u),
                          objective=lambda u: 0.0)
-        state = dc_solve(flip, np.array([1.0]), max_iter=7)
+        state = run(flip, np.array([1.0]), max_iter=7)
         assert state.status == "max_iter"
         assert state.k == 7
 
@@ -89,7 +94,7 @@ class TestDcSolve:
                         h_subgrad=lambda u: u,
                         objective=lambda u: np.inf)
         with pytest.raises(DcError):
-            dc_solve(bad, np.array([1.0]))
+            run(bad, np.array([1.0]))
 
     def test_subproblem_failure_carries_iteration(self):
         def broken(s, warm):
@@ -98,7 +103,7 @@ class TestDcSolve:
         problem = DcProblem(g_solve=broken, h_subgrad=lambda u: u,
                             objective=lambda u: 0.0)
         with pytest.raises(DcError) as err:
-            dc_solve(problem, np.array([1.0]))
+            run(problem, np.array([1.0]))
         assert err.value.iteration == 0
 
 
