@@ -18,7 +18,7 @@ from .dc import DcError
 # w_of and largest_k_auto are not called here: perfbench/spans.py patches them
 from .fem import (MeshFormatError, assemble, build_structured_mesh,
                   import_mesh, read_field, w_of, write_field)
-from .measures import OracleLimitError, largest_k_auto
+from .measures import largest_k_auto
 from .problems import ControlConfig, control_reduced, default_load, poisson_prototype
 from .solver import (L0PenaltyConfig, penalty_sweep, scaled_gradient,
                      solve_l0_penalized, support_metrics)
@@ -226,6 +226,8 @@ CONTROL_SPEC = {**POISSON_SPEC,
 def cmd_control(opts):
     if opts.beta is not None and opts.betas is not None:
         raise ConfigError("--beta conflicts with --betas")
+    if opts.betas == []:
+        raise ConfigError("no beta values in --betas")
     system = assemble(_mesh_from(opts))
     y_d = read_field(opts.y_d_file) if opts.y_d_file else None
     # one problem at a time, built just before its solve
@@ -343,18 +345,15 @@ def main(argv=None) -> int:
             at = argv.index(opts.command) + 1
             opts = parser.parse_args(
                 argv[:at] + _config_flags(opts.config, spec) + argv[at:])
-        if not opts.mesh_file and opts.n < 2:
-            raise ConfigError("mesh resolution must be at least 2")
         if getattr(opts, "verify", False) and not opts.solution_out:
             raise ConfigError(f"{opts.command} --verify needs --solution-out")
         return run(opts)
     except SystemExit as exc:
         # argparse has printed the usage error (status 2) or --help (0)
         return exc.code
-    # MeshFormatError and OracleLimitError subclass ValueError (as does
-    # ConfigError): catch them before the configuration errors
-    except (DcError, SsnError, SparsaError, OracleLimitError,
-            MeshFormatError, OSError) as exc:
+    # MeshFormatError subclasses ValueError (as does ConfigError): catch it
+    # before the configuration errors
+    except (DcError, SsnError, SparsaError, MeshFormatError, OSError) as exc:
         print(f"dcl0: solver failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

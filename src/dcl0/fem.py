@@ -82,6 +82,11 @@ def _boundary_nodes(triangles, num_nodes):
 
 def _validate(nodes, triangles):
     num_nodes = nodes.shape[0]
+    finite = np.isfinite(nodes).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise MeshFormatError(
+            f"node {bad} has a non-finite coordinate {nodes[bad].tolist()}")
     if triangles.size == 0:
         raise MeshFormatError("mesh has no triangles")
     if triangles.min() < 0 or triangles.max() >= num_nodes:

@@ -7,13 +7,14 @@ support measure (L0), the weighted L1 norm, and the largest-K-norm
     |x|_K = max { sum_{i in I} lam_i |x_i| : sum_{i in I} lam_i <= K },
 
 which is a knapsack maximum.  Exact oracles (subset enumeration, integer
-dynamic programming), the greedy approximation used inside the DC solver,
-the fractional relaxation, and subgradients of the largest-K-norm live here.
+dynamic programming), the greedy approximation used inside the DC solver
+and its completion by zero atoms (both one first-fit scan), the fractional
+relaxation, and subgradients of the largest-K-norm live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "weighted_l0",
     "weighted_l1",
     "largest_k_greedy",
+    "complete_selection",
     "largest_k_exact",
     "largest_k_relaxed",
     "largest_k_auto",
@@ -124,22 +126,9 @@ def _selection(indices, absx, lam, exact):
     return KSelection(indices=idx, value=value, weight=weight, exact=exact)
 
 
-def largest_k_greedy(x, space: DiscreteMeasureSpace, budget) -> KSelection:
-    """Greedy knapsack scan for the largest-K maximum.
-
-    Atoms are visited by decreasing ``|x_i|`` (ties by ascending index) and
-    taken whenever their measure still fits the remaining budget.  Atoms
-    with ``|x_i|`` at or below :data:`ZERO_THRESHOLD` are never taken.  The
-    result is feasible but may undershoot the exact maximum.
-    """
-    x = _check_dims(x, space)
-    budget = _check_budget(budget, space)
-    lam = space.weights
-    absx = np.abs(x)
-    candidates = np.flatnonzero(absx > ZERO_THRESHOLD)
-    # stable sort on -|x| keeps ascending index order within ties
-    order = candidates[np.argsort(-absx[candidates], kind="stable")]
-    slack = budget + BUDGET_RTOL * space.total_measure()
+def _first_fit(order, lam, slack):
+    """First-fit knapsack scan: visit the atoms of ``order`` in turn and take
+    each whose measure still fits ``slack``; returns the taken atoms."""
     w = lam[order]
     # the leading run that fits whole; cumsum adds in scan order, so each
     # partial sum is the running total the scan below would hold
@@ -156,8 +145,47 @@ def largest_k_greedy(x, space: DiscreteMeasureSpace, budget) -> KSelection:
         if used + wk <= slack:
             extra.append(k)
             used += wk
-    return _selection(np.concatenate([order[:head], order[extra]]), absx, lam,
-                      exact=False)
+    return np.concatenate([order[:head], order[extra]])
+
+
+def largest_k_greedy(x, space: DiscreteMeasureSpace, budget) -> KSelection:
+    """Greedy knapsack scan for the largest-K maximum.
+
+    Atoms are visited by decreasing ``|x_i|`` (ties by ascending index) and
+    taken whenever their measure still fits the remaining budget.  Atoms
+    with ``|x_i|`` at or below :data:`ZERO_THRESHOLD` are never taken.  The
+    result is feasible but may undershoot the exact maximum.
+    """
+    x = _check_dims(x, space)
+    budget = _check_budget(budget, space)
+    absx = np.abs(x)
+    candidates = np.flatnonzero(absx > ZERO_THRESHOLD)
+    # stable sort on -|x| keeps ascending index order within ties
+    order = candidates[np.argsort(-absx[candidates], kind="stable")]
+    slack = budget + BUDGET_RTOL * space.total_measure()
+    return _selection(_first_fit(order, space.weights, slack), absx,
+                      space.weights, exact=False)
+
+
+def complete_selection(selection: KSelection, x, space: DiscreteMeasureSpace,
+                       budget) -> KSelection:
+    """Extend a selection by the unselected atoms with ``|x_i|`` at or below
+    :data:`ZERO_THRESHOLD`, first fit by ascending index, while the budget
+    permits.  The attained value is kept: a maximizing set stays maximizing,
+    and the added atoms carry the zero-sign choice of a subgradient."""
+    x = _check_dims(x, space)
+    budget = _check_budget(budget, space)
+    lam = space.weights
+    slack = budget + BUDGET_RTOL * space.total_measure() - selection.weight
+    # full when even the lightest atom overflows
+    if slack < float(lam.min()):
+        return selection
+    zero = np.abs(x) <= ZERO_THRESHOLD
+    zero[selection.indices] = False
+    extra = _first_fit(np.flatnonzero(zero), lam, slack)
+    return replace(selection,
+                   indices=np.sort(np.concatenate([selection.indices, extra])),
+                   weight=selection.weight + float(lam[extra].sum()))
 
 
 def _float_gcd(values, rtol=1e-9):

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import dc
 from .fem import FemSystem, w_of
-from .measures import (BUDGET_RTOL, ZERO_THRESHOLD, DiscreteMeasureSpace,
-                       KSelection, largest_k_auto, largest_k_greedy,
+from .measures import (BUDGET_RTOL, DiscreteMeasureSpace, KSelection,
+                       complete_selection, largest_k_auto, largest_k_greedy,
                        subgradient_largest_k, weighted_l0, weighted_l1)
 from .problems import ProblemDef
 from .ssn import SSN_TOL, L1Weights, SsnError, ssn_solve
@@ -122,45 +122,14 @@ class L0Solution:
         return float(np.max(np.diff(vals), initial=0.0))
 
 
-def _fill_budget(sel, elems, budget, values):
-    """Extend a selection with zero-valued atoms (ascending index) while the
-    budget permits; the extension does not change the attained value."""
-    slack = budget + BUDGET_RTOL * elems.total_measure() - sel.weight
-    if slack <= 0.0 or slack < float(elems.weights.min()):
-        return sel
-    candidates = np.abs(values) <= ZERO_THRESHOLD
-    candidates[sel.indices] = False
-    extra = []
-    for i in np.flatnonzero(candidates):
-        if elems.weights[i] <= slack:
-            extra.append(i)
-            slack -= elems.weights[i]
-            if slack <= 0.0:
-                break
-    if not extra:
-        return sel
-    return replace(sel, indices=np.sort(np.concatenate([sel.indices, extra])),
-                   weight=sel.weight + float(elems.weights[extra].sum()))
-
-
-class _BudgetSchedule:
-    """Geometric continuation of the selection budget down to the target."""
-
-    def __init__(self, total, target, lam):
-        self.target = target
-        self.lam = lam
-        self.current = target if lam is None else total
-        self.steps = 0
-
-    @property
-    def reached(self):
-        return self.current == self.target
-
-    def advance(self):
-        if self.lam is None or self.reached:
-            return
-        self.current = max(self.lam * self.current, self.target)
-        self.steps += 1
+def _budgets(total, K, lam):
+    """Selection budgets of the continuation schedule: the full measure,
+    shrunk geometrically by ``lam`` down to ``K``; just ``[K]`` without a
+    schedule.  Sweep ``k`` selects at entry ``min(k + 1, steps)``."""
+    budgets = [total if lam is not None else K]
+    while budgets[-1] != K:
+        budgets.append(max(lam * budgets[-1], K))
+    return budgets
 
 
 def _initial_point(problem: ProblemDef, cfg: L0PenaltyConfig):
@@ -182,17 +151,17 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     cfg.validate(elems.total_measure())
     free = system.free_nodes
     weights = L1Weights(cfg.rho * system.patch_measure[free])
-    schedule = _BudgetSchedule(elems.total_measure(), cfg.K, cfg.schedule_lambda)
-
-    load_full = system.expand(problem.q_smooth)
-    zero_signs = {
-        "zero": lambda u: np.zeros_like(u),
-        "plus": lambda u: np.ones_like(u),
-        "minus": lambda u: -np.ones_like(u),
-        "sign_of_load": lambda u: np.sign(load_full),
-    }[cfg.zero_sign_policy]
+    budgets = _budgets(elems.total_measure(), cfg.K, cfg.schedule_lambda)
+    steps = len(budgets) - 1
+    if cfg.zero_sign_policy == "sign_of_load":
+        zero_sign = np.sign(system.expand(problem.q_smooth))
+    else:
+        zero_sign = {"zero": 0.0, "plus": 1.0,
+                     "minus": -1.0}[cfg.zero_sign_policy]
 
     rows = []
+    # the sweep under way (-1 before the first) and its SSN result
+    sweep = {"k": -1, "budget": budgets[0], "ssn": None}
     # dc_solve evaluates the objective at an iterate and then, after the
     # hook, takes the subgradient at the same array: both share its element
     # sums, and its selection unless the hook moved the budget
@@ -201,17 +170,13 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     def selection_at(u_full):
         if last["u"] is not u_full:
             last.update(u=u_full, w=w_of(u_full, system), budget=None)
-        if last["budget"] != schedule.current:
-            last.update(budget=schedule.current,
-                        sel=largest_k_greedy(last["w"], elems,
-                                             schedule.current))
+        if last["budget"] != sweep["budget"]:
+            last.update(budget=sweep["budget"],
+                        sel=largest_k_greedy(last["w"], elems, sweep["budget"]))
         return last["w"], last["sel"]
 
     def hook(k):
-        schedule.advance()
-        rows.append(IterationRow(k=k, K=schedule.current, objective=np.nan,
-                                 gap=np.nan, newton_iters=0,
-                                 ssn_residual=np.nan))
+        sweep.update(k=k, budget=budgets[min(k + 1, steps)])
 
     def h_subgrad(u_full):
         w, sel = selection_at(u_full)
@@ -219,11 +184,9 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
         # cost; without them the tilt vanishes on zero components and the
         # nonzero sign policies could never act from a zero iterate
         r = subgradient_largest_k(
-            w, elems, schedule.current,
-            _fill_budget(sel, elems, schedule.current, w), "plus")
-        a = np.sign(u_full)
-        at_zero = u_full == 0.0
-        a[at_zero] = zero_signs(u_full)[at_zero]
+            w, elems, sweep["budget"],
+            complete_selection(sel, w, elems, sweep["budget"]), "plus")
+        a = np.where(u_full == 0.0, zero_sign, np.sign(u_full))
         return cfg.rho * ((system.incidence.T @ r) * a)
 
     def g_solve(s_full, warm_full):
@@ -235,31 +198,33 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
             raise SsnError(f"semismooth Newton stopped after {res.iters} "
                            f"steps at residual {res.residual:.3e} "
                            f"(tol {SSN_TOL:g})")
-        rows[-1].newton_iters = res.iters
-        rows[-1].ssn_residual = res.residual
+        sweep["ssn"] = res
         return system.expand(res.u)
 
     def objective(u_full):
         w, sel = selection_at(u_full)
         gap = weighted_l1(w, elems) - sel.value
         value = problem.smooth_value(u_full) + cfg.rho * gap
-        if rows:
-            rows[-1].gap = gap
+        # after a sweep's subproblem, not at the start point
+        res = sweep["ssn"]
+        if res is not None:
+            rows.append(IterationRow(k=sweep["k"], K=sweep["budget"],
+                                     objective=float(value), gap=gap,
+                                     newton_iters=res.iters,
+                                     ssn_residual=res.residual))
+            sweep["ssn"] = None
         return value
 
     dc_problem = dc.DcProblem(g_solve=g_solve, h_subgrad=h_subgrad,
                               objective=objective)
     state = dc.dc_solve(dc_problem, _initial_point(problem, cfg),
                         max_iter=cfg.max_iter, iteration_hook=hook,
-                        stop_allowed=lambda k: schedule.reached)
+                        stop_allowed=lambda k: k + 1 >= steps)
     if state.status != "converged_fixed_point":
-        unreached = ("" if schedule.reached
+        unreached = ("" if state.k >= steps
                      else "; the budget schedule never reached the target K")
         raise dc.DcError(f"no fixed point within max_iter={cfg.max_iter} "
                          f"sweeps{unreached}", state.k)
-
-    for row, value in zip(rows, state.objectives):
-        row.objective = value
 
     l0, gap, final_sel = support_metrics(state.u, system, cfg.K)
     report = optimality_report(state.u, problem, system, cfg.rho, final_sel)
@@ -269,7 +234,7 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
                       gap_selection_exact=final_sel.exact,
                       dc_iters=state.k,
                       newton_iters=sum(row.newton_iters for row in rows),
-                      status=state.status, schedule_steps=schedule.steps,
+                      status=state.status, schedule_steps=steps,
                       diagnostics=report, history=rows)
 
 

@@ -49,7 +49,6 @@ class SparsaConfig:
 class SparsaResult:
     u: np.ndarray
     iters: int
-    objective: float
     history: list = field(default_factory=list)  # (objective, alpha, step)
 
 
@@ -109,5 +108,5 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
             alpha = 1.0
         u, value, grad = u_next, value_next, grad_next
         if rel_obj <= cfg.rel_tol and rel_step <= cfg.rel_tol:
-            return SparsaResult(u=u, iters=k, objective=value, history=history)
+            return SparsaResult(u=u, iters=k, history=history)
     raise SparsaError(f"no convergence within {cfg.max_iter} iterations")

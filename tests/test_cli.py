@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dcl0 import cli
 from dcl0.cli import build_parser, main
 from dcl0.fem import (assemble, build_structured_mesh, export_mesh,
                       read_field, write_field)
@@ -125,6 +126,25 @@ class TestPoissonCommand:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_mesh_coordinate_fails(self, tmp_path, capsys, bad):
+        path = tmp_path / "mesh.txt"
+        path.write_text(f"nodes 4\n0 0\n1 0\n1 {bad}\n0 1\n"
+                        "triangles 2\n0 1 2\n0 2 3\n")
+        csv = tmp_path / "run.csv"
+        assert run("poisson", "--mesh-file", str(path),
+                   "--csv", str(csv)) == 1
+        err = capsys.readouterr().err
+        assert err == ("dcl0: solver failure: node 2 has a non-finite "
+                       f"coordinate [1.0, {float(bad)}]\n")
+        assert not csv.exists()
+
+    def test_summary_csv_to_stdout(self, tmp_path, capsys):
+        csv = tmp_path / "run.csv"
+        assert run("poisson", "--n", "8", "--csv", str(csv)) == 0
+        assert run("poisson", "--n", "8") == 0
+        assert capsys.readouterr().out == csv.read_text()
+
     def test_empty_mesh_fails(self, tmp_path, capsys):
         path = tmp_path / "mesh.txt"
         path.write_text("nodes 0\ntriangles 0\n")
@@ -154,9 +174,13 @@ class TestPoissonCommand:
         ["control", "--n", "8", "--beta", "inf"],
         ["sparsa", "--n", "8", "--beta", "nan"],
         ["sweep", "--n", "4", "--rhos", ","],
+        ["control", "--n", "8", "--betas", ","],
+        ["control", "--n", "8", "--betas", ""],
+        ["poisson", "--n", "1"],
     ], ids=["max-iter-0", "rel-tol-negative", "rel-tol-zero",
             "sparsa-max-iter-0", "negative-beta", "rho-nan", "rho-inf",
-            "alpha-nan", "beta-inf", "sparsa-beta-nan", "sweep-no-rhos"])
+            "alpha-nan", "beta-inf", "sparsa-beta-nan", "sweep-no-rhos",
+            "control-no-betas", "control-empty-betas", "n-1"])
     def test_invalid_setting_is_a_config_error(self, tmp_path, capsys, argv):
         csv = tmp_path / "run.csv"
         assert run(*argv, "--csv", str(csv)) == 2
@@ -189,6 +213,32 @@ class TestVerifyFlag:
         csv = tmp_path / "run.csv"
         assert run(command, "--n", "8", "--csv", str(csv), "--verify") == 2
         assert not csv.exists()
+
+    def test_boolean_values(self, tmp_path):
+        csv = tmp_path / "run.csv"
+        sol = tmp_path / "u.txt"
+        config = tmp_path / "run.conf"
+        assert run("poisson", "--n", "8", "--verify=false",
+                   "--csv", str(csv)) == 0
+        # a true value asks for the solution field it verifies
+        config.write_text("verify = true\n")
+        assert run("poisson", "--n", "8", "--config", str(config)) == 2
+        assert run("poisson", "--n", "8", "--config", str(config),
+                   "--csv", str(csv), "--solution-out", str(sol)) == 0
+        config.write_text("verify = bogus\n")
+        csv.unlink()
+        assert run("poisson", "--n", "8", "--config", str(config),
+                   "--csv", str(csv), "--solution-out", str(sol)) == 2
+        assert not csv.exists()
+
+    def test_mismatch_fails(self, tmp_path, capsys, monkeypatch):
+        write = cli.write_field
+        monkeypatch.setattr(cli, "write_field",
+                            lambda path, u: write(path, np.asarray(u) + 1.0))
+        sol = tmp_path / "u.txt"
+        assert run("poisson", "--n", "8", "--csv", str(tmp_path / "run.csv"),
+                   "--solution-out", str(sol), "--verify") == 1
+        assert capsys.readouterr().err.startswith("verify: mismatch (l0 1.0 ")
 
 
 class TestSparsaCommand:
@@ -281,6 +331,15 @@ class TestSweepCommand:
         rhos = [float(dict(zip(header, ln.split(",")))["rho"])
                 for ln in lines[1:]]
         assert rhos == sorted(rhos) == [1e3, 1e6, 1e9]
+
+    def test_solution_out_is_the_last_solve(self, tmp_path):
+        csv = tmp_path / "sweep.csv"
+        sol = tmp_path / "u.txt"
+        assert run("sweep", "--n", "8", "--rhos", "1e3,1e9",
+                   "--csv", str(csv), "--solution-out", str(sol)) == 0
+        # verify rechecks the field against the CSV's last row
+        assert run("verify", "--n", "8", "--csv", str(csv),
+                   "--solution-out", str(sol)) == 0
 
     def test_empty_penalty_list_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "u.txt"

@@ -156,6 +156,14 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match=message):
             import_mesh(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_coordinate(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"nodes 3\n0 0\n1 {bad}\n0 1\ntriangles 1\n0 1 2\n")
+        with pytest.raises(MeshFormatError,
+                           match="node 1 has a non-finite coordinate"):
+            import_mesh(path)
+
     def test_field_round_trip(self, tmp_path):
         values = np.array([0.0, -1.5, 3.25e-17, 2.0 / 3.0])
         path = tmp_path / "field.txt"

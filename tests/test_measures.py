@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dcl0.measures import (BUDGET_RTOL, DiscreteMeasureSpace, KSelection,
-                           OracleLimitError, largest_k_exact, largest_k_greedy,
+                           OracleLimitError, complete_selection,
+                           largest_k_exact, largest_k_greedy,
                            largest_k_relaxed, largest_k_auto,
                            reformulation_gap, subgradient_largest_k,
                            weighted_l0, weighted_l1, ZERO_THRESHOLD)
@@ -164,6 +165,55 @@ class TestGreedy:
             assert sel.value == (float(lam[idx] @ np.abs(x)[idx])
                                  if idx.size else 0.0)
             assert sel.weight == (float(lam[idx].sum()) if idx.size else 0.0)
+
+
+class TestCompleteSelection:
+    def test_adds_zero_atoms_first_fit(self):
+        space = DiscreteMeasureSpace([1.0, 1.0, 3.0, 1.0, 2.0])
+        x = np.array([0.0, 5.0, 0.0, 0.0, 4.0])
+        sel = largest_k_greedy(x, space, 5.0)
+        assert list(sel.indices) == [1, 4]
+        # slack 2 left: zero atom 0 fits, 2 does not, 3 fills the budget
+        full = complete_selection(sel, x, space, 5.0)
+        assert list(full.indices) == [0, 1, 3, 4]
+        assert full.value == sel.value
+        assert full.weight == 5.0
+
+    def test_never_adds_nonzero_atoms(self):
+        space = DiscreteMeasureSpace([1.0, 1.0, 1.0])
+        x = np.array([0.0, 5.0, 1.0])
+        sel = largest_k_greedy(x, space, 1.0)
+        assert list(complete_selection(sel, x, space, 3.0).indices) == [0, 1]
+
+    def test_full_budget_keeps_selection(self, space):
+        sel = largest_k_greedy(np.array([0.0, 4.0, 3.0]), space, 5.0)
+        assert complete_selection(sel, np.zeros(3), space, 5.0) is sel
+
+    def test_matches_reference_loop(self, rng):
+        # the plain loop over zero atoms by ascending index
+        def reference(sel, x, space, budget):
+            lam = space.weights
+            slack = budget + BUDGET_RTOL * space.total_measure() - sel.weight
+            zero = np.abs(x) <= ZERO_THRESHOLD
+            zero[sel.indices] = False
+            taken = []
+            for i in np.flatnonzero(zero):
+                if lam[i] <= slack:
+                    taken.append(i)
+                    slack -= lam[i]
+            return np.sort(np.concatenate([sel.indices, taken]).astype(int))
+
+        for case in range(120):
+            n = int(rng.integers(1, 200))
+            lam = (1.0 + 0.4 * (rng.random(n) - 0.5)) / n
+            x = rng.standard_normal(n)
+            x[rng.random(n) < [0.1, 0.5, 0.9][case % 3]] = 0.0
+            space = DiscreteMeasureSpace(lam)
+            budget = float(rng.random()) * space.total_measure()
+            sel = largest_k_greedy(x, space, budget)
+            full = complete_selection(sel, x, space, budget)
+            assert np.array_equal(full.indices, reference(sel, x, space, budget))
+            assert full.weight <= budget + BUDGET_RTOL * space.total_measure()
 
 
 class TestExact:

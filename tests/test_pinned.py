@@ -86,6 +86,32 @@ k,K_k,objective,gap,newton_iters,ssn_residual
 12,0.254186582833,-0.0168219041891,1.04083408559e-17,1,5.77333330204e-17
 13,0.25,-0.0168219041891,1.04083408559e-17,0,5.77333330204e-17
 """),
+    # the zero-atom completion from a zero start
+    "poisson_zero_start_plus": (
+        ["poisson", "--n", "16", "--u0", "zero", "--zero-sign", "plus"], """\
+n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode
+16,0.25,1000000000,-0.000934889088539,0.16796875,4.33680868994e-19,2,2,exact
+""", """\
+k,K_k,objective,gap,newton_iters,ssn_residual
+0,0.25,-0.000934888654858,4.33680868994e-19,2,1.54045680894e-17
+1,0.25,-0.000934888654858,4.33680868994e-19,0,1.54045680894e-17
+"""),
+    "poisson_sign_of_load_schedule": (
+        ["poisson", "--n", "16", "--zero-sign", "sign_of_load",
+         "--schedule", "0.8"], """\
+n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
+16,0.25,1000000000,-0.0166544117241,0.248046875,1.04083408559e-17,8,7,exact,0.8,7
+""", """\
+k,K_k,objective,gap,newton_iters,ssn_residual
+0,0.8,-0.0290596148174,1.38777878078e-17,1,1.08220309358e-16
+1,0.64,-0.0244742065716,0,1,8.57514134669e-17
+2,0.512,-0.0211645483709,0,1,9.20517654258e-17
+3,0.4096,-0.0190247148413,0,1,7.8609966178e-17
+4,0.32768,-0.0183333222848,-3.46944695195e-18,1,7.12399209012e-17
+5,0.262144,-0.0171692564882,3.46944695195e-18,1,5.95265501362e-17
+6,0.25,-0.0166544013157,1.04083408559e-17,1,6.20451685437e-17
+7,0.25,-0.0166544013157,1.04083408559e-17,0,6.20451685437e-17
+"""),
     "control": (["control", "--n", "8"], """\
 n,K,rho,alpha,beta,f,l0,gap,tracking_error,dc_iters,ssn_iters,selection_mode
 8,0.25,1000000000,1e-07,1e-07,0.0205227369472,0.09375,3.5527136788e-15,0.1711505124,2,1,exact
