@@ -151,7 +151,7 @@ def _self_check(opts, system, reported_l0, reported_gap):
 
 # option tables: {dest: (type, default)}, one per command, from three groups
 
-#: mesh, budget and summary CSV: every command
+#: mesh, budget and summary CSV: every command but verify
 MESH_SPEC = {
     "n": (int, 128),
     "mesh_file": (str, None),
@@ -283,7 +283,9 @@ def cmd_sweep(opts):
     return 0
 
 
-VERIFY_SPEC = {**MESH_SPEC, "solution_out": RUN_OUTPUT_SPEC["solution_out"]}
+#: the run's mesh size and budget come from its summary row
+VERIFY_SPEC = {"mesh_file": MESH_SPEC["mesh_file"], "csv": MESH_SPEC["csv"],
+               "solution_out": RUN_OUTPUT_SPEC["solution_out"]}
 
 
 def cmd_verify(opts):
@@ -294,11 +296,13 @@ def cmd_verify(opts):
     if len(lines) < 2:
         raise ConfigError(f"{opts.csv}: expected a header and a data row")
     row = dict(zip(lines[0].split(","), lines[-1].split(",")))
-    missing = [name for name in ("l0", "gap") if name not in row]
+    needed = ["K", "l0", "gap"] + ([] if opts.mesh_file else ["n"])
+    missing = [name for name in needed if name not in row]
     if missing:
         raise ConfigError(f"{opts.csv}: no {' or '.join(missing)} column")
-    system = assemble(_mesh_from(opts))
-    ok, l0, gap = _recheck_field(opts.solution_out, system, opts.K,
+    system = assemble(import_mesh(opts.mesh_file) if opts.mesh_file
+                      else build_structured_mesh(int(row["n"])))
+    ok, l0, gap = _recheck_field(opts.solution_out, system, float(row["K"]),
                                  float(row["l0"]), float(row["gap"]))
     print(f"l0 recomputed {l0:.12g} reported {row['l0']}; "
           f"gap recomputed {gap:.12g} reported {row['gap']}: "

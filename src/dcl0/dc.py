@@ -8,11 +8,11 @@ the resulting convex model; the iteration stops at a fixed point of the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DcProblem", "DcState", "DcError", "dc_solve"]
+__all__ = ["DcProblem", "DcError", "dc_solve"]
 
 
 class DcError(RuntimeError):
@@ -28,7 +28,10 @@ class DcProblem:
     """Decomposition ``objective = g - h`` given through its solver pieces.
 
     ``g_solve(s, warm_start)`` returns a minimizer of ``g(u) - <s, u>``;
-    ``h_subgrad(u)`` returns some subgradient of ``h`` at ``u``.
+    ``h_subgrad(u, k)`` returns some subgradient of ``h`` at the iterate
+    ``u`` that sweep ``k`` linearizes; ``objective(u, k)`` is the objective
+    at the iterate sweep ``k`` produced, with ``k = -1`` for the start point.
+    The sweep index lets a caller vary ``h`` from sweep to sweep.
     """
 
     g_solve: object
@@ -36,42 +39,28 @@ class DcProblem:
     objective: object
 
 
-@dataclass
-class DcState:
-    """Final iterate, sweep count, the objective after every sweep and the
-    way the run ended."""
+def dc_solve(problem: DcProblem, u0, max_iter=500, min_sweeps=1):
+    """Run the DC iteration from ``u0``; returns ``(u, sweeps)``.
 
-    u: np.ndarray
-    k: int
-    objectives: list[float] = field(default_factory=list)
-    status: str = "running"
-
-
-def dc_solve(problem: DcProblem, u0, max_iter=500, *, iteration_hook,
-             stop_allowed) -> DcState:
-    """Run the DC iteration from ``u0``.
-
-    Stops when the new iterate equals the previous one exactly or after
-    ``max_iter`` sweeps.  ``iteration_hook(k)`` fires before sweep ``k``;
-    ``stop_allowed(k)`` can veto termination (used by parameter schedules).
+    Stops at the first sweep whose new iterate equals the previous one
+    exactly, once at least ``min_sweeps`` sweeps have run, and raises
+    :class:`DcError` after ``max_iter`` sweeps without that.  Only the
+    objective at the start point is checked (it must be finite); the values
+    after each sweep are left to the caller's ``objective``.
     """
     u = np.asarray(u0, dtype=float).copy()
-    if not np.isfinite(problem.objective(u)):
+    if not np.isfinite(problem.objective(u, -1)):
         raise DcError("objective not finite at the starting point", 0)
-    state = DcState(u=u, k=0)
     for k in range(max_iter):
-        iteration_hook(k)
-        s = problem.h_subgrad(u)
+        s = problem.h_subgrad(u, k)
         try:
             u_next = np.asarray(problem.g_solve(s, u), dtype=float)
         except Exception as exc:
             raise DcError(f"subproblem solver failed: {exc}", k) from exc
-        state.objectives.append(float(problem.objective(u_next)))
-        state.k = k + 1
+        problem.objective(u_next, k)
         at_fixed_point = np.array_equal(u_next, u)
-        u = state.u = u_next
-        if at_fixed_point and stop_allowed(k):
-            state.status = "converged_fixed_point"
-            return state
-    state.status = "max_iter"
-    return state
+        u = u_next
+        if at_fixed_point and k + 1 >= min_sweeps:
+            return u, k + 1
+    raise DcError(f"no fixed point within max_iter={max_iter} sweeps",
+                  max_iter)

@@ -70,12 +70,17 @@ def _signed_areas(nodes, triangles):
 
 
 def _boundary_nodes(triangles, num_nodes):
-    # boundary edges belong to exactly one triangle
+    # boundary edges belong to exactly one triangle, interior edges to two
     edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
                             triangles[:, [2, 0]]])
     # one integer key per undirected edge: min * N + max
     keys = edges.min(axis=1).astype(np.int64) * num_nodes + edges.max(axis=1)
     uniq, counts = np.unique(keys, return_counts=True)
+    if counts.max() > 2:
+        key = int(uniq[np.argmax(counts)])
+        raise MeshFormatError(
+            f"edge ({key // num_nodes}, {key % num_nodes}) belongs to "
+            f"{counts.max()} triangles; a mesh edge has at most two")
     single = uniq[counts == 1]
     return np.unique(np.concatenate([single // num_nodes, single % num_nodes]))
 

@@ -126,6 +126,13 @@ def _selection(indices, absx, lam, exact):
     return KSelection(indices=idx, value=value, weight=weight, exact=exact)
 
 
+def _by_magnitude(absx, floor):
+    """Atoms with ``absx`` above ``floor`` by decreasing ``absx``, ties by
+    ascending index (a stable sort on ``-absx``)."""
+    candidates = np.flatnonzero(absx > floor)
+    return candidates[np.argsort(-absx[candidates], kind="stable")]
+
+
 def _first_fit(order, lam, slack):
     """First-fit knapsack scan: visit the atoms of ``order`` in turn and take
     each whose measure still fits ``slack``; returns the taken atoms."""
@@ -159,9 +166,7 @@ def largest_k_greedy(x, space: DiscreteMeasureSpace, budget) -> KSelection:
     x = _check_dims(x, space)
     budget = _check_budget(budget, space)
     absx = np.abs(x)
-    candidates = np.flatnonzero(absx > ZERO_THRESHOLD)
-    # stable sort on -|x| keeps ascending index order within ties
-    order = candidates[np.argsort(-absx[candidates], kind="stable")]
+    order = _by_magnitude(absx, ZERO_THRESHOLD)
     slack = budget + BUDGET_RTOL * space.total_measure()
     return _selection(_first_fit(order, space.weights, slack), absx,
                       space.weights, exact=False)
@@ -214,11 +219,7 @@ def _exact_equal_weights(absx, lam, budget):
     # all atom measures equal: take the largest |x_i| until the budget is full
     w = lam[0]
     count = min(_int_capacity(budget / w), lam.size)
-    candidates = np.flatnonzero(absx > 0.0)
-    if count == 0 or candidates.size == 0:
-        return _selection([], absx, lam, exact=True)
-    order = candidates[np.argsort(-absx[candidates], kind="stable")]
-    return _selection(order[:min(count, order.size)], absx, lam, exact=True)
+    return _selection(_by_magnitude(absx, 0.0)[:count], absx, lam, exact=True)
 
 
 def _exact_dp(absx, lam, budget, unit):
@@ -327,19 +328,18 @@ def largest_k_relaxed(x, space: DiscreteMeasureSpace, budget) -> float:
     bound for the exact largest-K value."""
     x = _check_dims(x, space)
     budget = _check_budget(budget, space)
-    lam = space.weights
     absx = np.abs(x)
-    candidates = np.flatnonzero(absx > 0.0)
-    order = candidates[np.argsort(-absx[candidates], kind="stable")]
-    value = 0.0
-    remaining = budget
-    for i in order:
-        if remaining <= 0.0:
-            break
-        frac = min(1.0, remaining / lam[i])
-        value += frac * lam[i] * absx[i]
-        remaining -= frac * lam[i]
-    return float(value)
+    order = _by_magnitude(absx, 0.0)
+    lam, a = space.weights[order], absx[order]
+    # whole atoms while their running measure fits the budget, then the
+    # break atom split to fill the remainder
+    whole = np.cumsum(lam)
+    head = int(np.searchsorted(whole, budget, side="right"))
+    value = float(lam[:head] @ a[:head])
+    if head < order.size:
+        used = float(whole[head - 1]) if head else 0.0
+        value += (budget - used) * float(a[head])
+    return value
 
 
 def largest_k_auto(x, space: DiscreteMeasureSpace, budget) -> KSelection:

@@ -68,6 +68,9 @@ class L0PenaltyConfig:
             raise ValueError(f"unknown u0_policy {self.u0_policy!r}")
         if self.u0_policy == "custom" and self.u0 is None:
             raise ValueError("u0_policy 'custom' needs an explicit u0")
+        if self.u0_policy != "custom" and self.u0 is not None:
+            raise ValueError(f"u0 is given but u0_policy {self.u0_policy!r} "
+                             "ignores it; use u0_policy 'custom'")
 
 
 @dataclass
@@ -108,10 +111,11 @@ class L0Solution:
     gap_selection_exact: bool
     dc_iters: int
     newton_iters: int
-    status: str
     schedule_steps: int
     diagnostics: OptimalityReport
     history: list[IterationRow] = field(default_factory=list)
+    # the only ending a solution can have: every other one raises DcError
+    status: str = "converged_fixed_point"
 
     def max_ascent_at_target(self, K):
         """Largest objective increase between consecutive iterations whose
@@ -159,33 +163,29 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
         zero_sign = {"zero": 0.0, "plus": 1.0,
                      "minus": -1.0}[cfg.zero_sign_policy]
 
-    rows = []
-    # the sweep under way (-1 before the first) and its SSN result
-    sweep = {"k": -1, "budget": budgets[0], "ssn": None}
-    # dc_solve evaluates the objective at an iterate and then, after the
-    # hook, takes the subgradient at the same array: both share its element
-    # sums, and its selection unless the hook moved the budget
+    rows, ssn_results = [], []
+    # the objective at the iterate of sweep k and the subgradient that
+    # sweep k + 1 takes there share its element sums, and its selection
+    # unless the schedule moves the budget between them
     last = {"u": None, "w": None, "budget": None, "sel": None}
 
-    def selection_at(u_full):
+    def selection_at(u_full, budget):
         if last["u"] is not u_full:
             last.update(u=u_full, w=w_of(u_full, system), budget=None)
-        if last["budget"] != sweep["budget"]:
-            last.update(budget=sweep["budget"],
-                        sel=largest_k_greedy(last["w"], elems, sweep["budget"]))
+        if last["budget"] != budget:
+            last.update(budget=budget,
+                        sel=largest_k_greedy(last["w"], elems, budget))
         return last["w"], last["sel"]
 
-    def hook(k):
-        sweep.update(k=k, budget=budgets[min(k + 1, steps)])
-
-    def h_subgrad(u_full):
-        w, sel = selection_at(u_full)
+    def h_subgrad(u_full, k):
+        budget = budgets[min(k + 1, steps)]
+        w, sel = selection_at(u_full, budget)
         # a maximizing set may be completed with zero-valued atoms at no
         # cost; without them the tilt vanishes on zero components and the
         # nonzero sign policies could never act from a zero iterate
         r = subgradient_largest_k(
-            w, elems, sweep["budget"],
-            complete_selection(sel, w, elems, sweep["budget"]), "plus")
+            w, elems, budget, complete_selection(sel, w, elems, budget),
+            "plus")
         a = np.where(u_full == 0.0, zero_sign, np.sign(u_full))
         return cfg.rho * ((system.incidence.T @ r) * a)
 
@@ -198,44 +198,39 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
             raise SsnError(f"semismooth Newton stopped after {res.iters} "
                            f"steps at residual {res.residual:.3e} "
                            f"(tol {SSN_TOL:g})")
-        sweep["ssn"] = res
+        ssn_results.append(res)
         return system.expand(res.u)
 
-    def objective(u_full):
-        w, sel = selection_at(u_full)
+    def objective(u_full, k):
+        budget = budgets[min(k + 1, steps)]
+        w, sel = selection_at(u_full, budget)
         gap = weighted_l1(w, elems) - sel.value
         value = problem.smooth_value(u_full) + cfg.rho * gap
-        # after a sweep's subproblem, not at the start point
-        res = sweep["ssn"]
-        if res is not None:
-            rows.append(IterationRow(k=sweep["k"], K=sweep["budget"],
-                                     objective=float(value), gap=gap,
-                                     newton_iters=res.iters,
+        if k >= 0:
+            res = ssn_results[k]
+            rows.append(IterationRow(k=k, K=budget, objective=float(value),
+                                     gap=gap, newton_iters=res.iters,
                                      ssn_residual=res.residual))
-            sweep["ssn"] = None
         return value
 
+    u0 = _initial_point(problem, cfg)
+    if steps > cfg.max_iter:
+        # the iteration may not stop before the schedule's last step
+        raise dc.DcError(f"no fixed point within max_iter={cfg.max_iter} "
+                         "sweeps; the budget schedule never reached the "
+                         "target K", cfg.max_iter)
     dc_problem = dc.DcProblem(g_solve=g_solve, h_subgrad=h_subgrad,
                               objective=objective)
-    state = dc.dc_solve(dc_problem, _initial_point(problem, cfg),
-                        max_iter=cfg.max_iter, iteration_hook=hook,
-                        stop_allowed=lambda k: k + 1 >= steps)
-    if state.status != "converged_fixed_point":
-        unreached = ("" if state.k >= steps
-                     else "; the budget schedule never reached the target K")
-        raise dc.DcError(f"no fixed point within max_iter={cfg.max_iter} "
-                         f"sweeps{unreached}", state.k)
+    u, sweeps = dc.dc_solve(dc_problem, u0, max_iter=cfg.max_iter,
+                            min_sweeps=steps)
 
-    l0, gap, final_sel = support_metrics(state.u, system, cfg.K)
-    report = optimality_report(state.u, problem, system, cfg.rho, final_sel)
-    return L0Solution(u=state.u,
-                      objective=float(problem.smooth_value(state.u)),
+    l0, gap, final_sel = support_metrics(u, system, cfg.K)
+    report = optimality_report(u, problem, system, cfg.rho, final_sel)
+    return L0Solution(u=u, objective=float(problem.smooth_value(u)),
                       l0=l0, gap=float(gap),
-                      gap_selection_exact=final_sel.exact,
-                      dc_iters=state.k,
+                      gap_selection_exact=final_sel.exact, dc_iters=sweeps,
                       newton_iters=sum(row.newton_iters for row in rows),
-                      status=state.status, schedule_steps=steps,
-                      diagnostics=report, history=rows)
+                      schedule_steps=steps, diagnostics=report, history=rows)
 
 
 def support_metrics(u, system: FemSystem, K):

@@ -1,10 +1,11 @@
 import argparse
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dcl0 import cli
+from dcl0 import cli, solver
 from dcl0.cli import build_parser, main
 from dcl0.fem import (assemble, build_structured_mesh, export_mesh,
                       read_field, write_field)
@@ -139,6 +140,21 @@ class TestPoissonCommand:
                        f"coordinate [1.0, {float(bad)}]\n")
         assert not csv.exists()
 
+    def test_non_manifold_mesh_fails(self, tmp_path, capsys):
+        # one triangle listed twice
+        mesh = build_structured_mesh(4)
+        path = tmp_path / "mesh.txt"
+        export_mesh(dataclasses.replace(
+            mesh, triangles=np.vstack([mesh.triangles, mesh.triangles[:1]])),
+            path)
+        csv = tmp_path / "run.csv"
+        assert run("poisson", "--mesh-file", str(path),
+                   "--csv", str(csv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dcl0: solver failure: edge ")
+        assert "belongs to 3 triangles" in err
+        assert not csv.exists()
+
     def test_summary_csv_to_stdout(self, tmp_path, capsys):
         csv = tmp_path / "run.csv"
         assert run("poisson", "--n", "8", "--csv", str(csv)) == 0
@@ -193,6 +209,23 @@ class TestPoissonCommand:
         assert run("poisson", "--n", "16", "--max-iter", "1",
                    "--csv", str(csv)) == 1
         assert "no fixed point" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_long_schedule_fails_before_the_first_sweep(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # lambda = 0.9 needs 14 sweeps to reach K = 0.25: no subproblem is
+        # solved under a cap of 5
+        calls = []
+        monkeypatch.setattr(solver, "ssn_solve",
+                            lambda *args, **kwargs: calls.append(args))
+        csv = tmp_path / "run.csv"
+        assert run("poisson", "--n", "16", "--schedule", "0.9",
+                   "--max-iter", "5", "--csv", str(csv)) == 1
+        assert capsys.readouterr().err == (
+            "dcl0: solver failure: iteration 5: no fixed point within "
+            "max_iter=5 sweeps; the budget schedule never reached the "
+            "target K\n")
+        assert calls == []
         assert not csv.exists()
 
 
@@ -338,7 +371,7 @@ class TestSweepCommand:
         assert run("sweep", "--n", "8", "--rhos", "1e3,1e9",
                    "--csv", str(csv), "--solution-out", str(sol)) == 0
         # verify rechecks the field against the CSV's last row
-        assert run("verify", "--n", "8", "--csv", str(csv),
+        assert run("verify", "--csv", str(csv),
                    "--solution-out", str(sol)) == 0
 
     def test_empty_penalty_list_is_a_config_error(self, tmp_path, capsys):
@@ -364,8 +397,39 @@ class TestVerifyCommand:
         sol = tmp_path / "sol.txt"
         assert run("poisson", "--n", "8", "--csv", str(csv),
                    "--solution-out", str(sol)) == 0
-        assert run("verify", "--csv", str(csv), "--solution-out", str(sol),
-                   "--n", "8", "--K", "0.25") == 0
+        assert run("verify", "--csv", str(csv),
+                   "--solution-out", str(sol)) == 0
+
+    def test_budget_and_mesh_size_come_from_the_row(self, tmp_path, capsys):
+        # a budget other than the default 0.25 and a mesh other than 128
+        csv = tmp_path / "run.csv"
+        sol = tmp_path / "u.txt"
+        assert run("poisson", "--n", "16", "--K", "0.1", "--rho", "1e-4",
+                   "--csv", str(csv), "--solution-out", str(sol)) == 0
+        capsys.readouterr()
+        assert run("verify", "--csv", str(csv),
+                   "--solution-out", str(sol)) == 0
+        assert capsys.readouterr().out.endswith(": OK\n")
+
+    def test_mesh_file_replaces_the_row_size(self, tmp_path):
+        mesh_path = tmp_path / "mesh.txt"
+        export_mesh(build_structured_mesh(16), mesh_path)
+        csv = tmp_path / "run.csv"
+        sol = tmp_path / "u.txt"
+        assert run("poisson", "--mesh-file", str(mesh_path), "--csv", str(csv),
+                   "--solution-out", str(sol)) == 0
+        # the row's n is the unused default 128: drop the column
+        header, line = csv.read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert row.pop("n") == "128" and float(row["l0"]) > 0.0
+        csv.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        assert run("verify", "--mesh-file", str(mesh_path), "--csv", str(csv),
+                   "--solution-out", str(sol)) == 0
+
+    @pytest.mark.parametrize("option, value", [("--n", "8"), ("--K", "0.25")])
+    def test_rejects_mesh_size_and_budget(self, option, value):
+        assert run("verify", "--csv", "run.csv", "--solution-out", "u.txt",
+                   option, value) == 2
 
     def test_corrupted_field_fails(self, tmp_path):
         csv = tmp_path / "run.csv"
@@ -375,25 +439,28 @@ class TestVerifyCommand:
         values = read_field(sol)
         values[len(values) // 2] += 1.0
         write_field(sol, values)
-        assert run("verify", "--csv", str(csv), "--solution-out", str(sol),
-                   "--n", "8", "--K", "0.25") == 1
+        assert run("verify", "--csv", str(csv),
+                   "--solution-out", str(sol)) == 1
 
-    def test_missing_arguments(self):
-        assert run("verify", "--n", "8") == 2
+    def test_missing_arguments(self, tmp_path):
+        assert run("verify") == 2
+        assert run("verify", "--csv", str(tmp_path / "run.csv")) == 2
 
     @pytest.mark.parametrize("text", [
         "",
         "n,K,rho,f,gap\n8,0.25,1e9,-0.1,0\n",
         "n,K,rho,f,l0\n8,0.25,1e9,-0.1,0.25\n",
+        "n,rho,f,l0,gap\n8,1e9,-0.1,0.25,0\n",
+        "K,rho,f,l0,gap\n0.25,1e9,-0.1,0.25,0\n",
         "n,K,rho,f,l0,gap\n",
-    ], ids=["empty", "no-l0", "no-gap", "header-only"])
+    ], ids=["empty", "no-l0", "no-gap", "no-K", "no-n", "header-only"])
     def test_malformed_csv_is_a_config_error(self, tmp_path, capsys, text):
         csv = tmp_path / "run.csv"
         sol = tmp_path / "sol.txt"
         write_field(sol, np.zeros(81))
         csv.write_text(text)
-        assert run("verify", "--csv", str(csv), "--solution-out", str(sol),
-                   "--n", "8", "--K", "0.25") == 2
+        assert run("verify", "--csv", str(csv),
+                   "--solution-out", str(sol)) == 2
         assert "config error" in capsys.readouterr().err
 
 

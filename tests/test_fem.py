@@ -164,6 +164,17 @@ class TestMeshIO:
                            match="node 1 has a non-finite coordinate"):
             import_mesh(path)
 
+    def test_rejects_edge_of_three_triangles(self, tmp_path):
+        # a repeated triangle puts each of its interior edges in three
+        # triangles; the imported area would be 1.03125, not 1
+        mesh = build_structured_mesh(4)
+        path = tmp_path / "bad.txt"
+        export_mesh(dataclasses.replace(
+            mesh, triangles=np.vstack([mesh.triangles, mesh.triangles[:1]])),
+            path)
+        with pytest.raises(MeshFormatError, match="belongs to 3 triangles"):
+            import_mesh(path)
+
     def test_field_round_trip(self, tmp_path):
         values = np.array([0.0, -1.5, 3.25e-17, 2.0 / 3.0])
         path = tmp_path / "field.txt"

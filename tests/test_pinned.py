@@ -7,7 +7,7 @@ import pytest
 
 from conftest import jittered_mesh
 from dcl0.cli import main
-from dcl0.fem import assemble, build_structured_mesh
+from dcl0.fem import assemble, build_structured_mesh, export_mesh
 from dcl0.problems import (ControlConfig, control_reduced, default_load,
                            poisson_prototype)
 from dcl0.solver import L0PenaltyConfig, solve_l0_penalized
@@ -55,8 +55,11 @@ def test_pinned_solution(case, objective, l0, dc_iters):
     assert sol.dc_iters == dc_iters
 
 
-# exact summary-CSV and iteration-CSV text of small CLI runs; sparsa has no
-# iteration CSV
+#: argv placeholder for a mesh file the test writes first
+MESH_FILE = "jittered-12-seed-7.txt"
+
+# exact summary-CSV and iteration-CSV text of small CLI runs; sparsa and
+# sweep have no iteration CSV
 CLI_PINNED = {
     "poisson": (["poisson", "--n", "16"], """\
 n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode
@@ -124,12 +127,44 @@ k,K_k,objective,gap,newton_iters,ssn_residual
 n,K,beta,f,l0,gap,iters
 8,0.25,4.36,-0.0046080898268,0.234375,-8.67361737988e-19,13
 """, None),
+    # the warm-started second solve runs with no schedule steps to wait for
+    "sweep": (["sweep", "--n", "8", "--rhos", "1e3,1e9"], """\
+n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode
+8,0.25,1000,0,0,0,2,1,exact
+8,0.25,1000000000,0,0,0,1,0,exact
+""", None),
+    # greedy selection under a schedule; MESH_FILE is jittered_mesh(12, seed=7)
+    "poisson_mesh_file_schedule": (
+        ["poisson", "--mesh-file", MESH_FILE, "--schedule", "0.9"], """\
+n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
+128,0.25,1000000000,-0.0156501047746,0.249518728356,-3.46944695195e-18,14,17,greedy,0.9,14
+""", """\
+k,K_k,objective,gap,newton_iters,ssn_residual
+0,0.9,-0.0303976412577,-6.93889390391e-18,2,1.37167301277e-16
+1,0.81,-0.0295835685539,0,2,1.05200466984e-16
+2,0.729,-0.02729348618,6.93889390391e-18,2,1.13336834385e-16
+3,0.6561,-0.0251916551483,0,1,7.41835180671e-17
+4,0.59049,-0.0243060245373,6.93889390391e-18,2,1.07804376109e-16
+5,0.531441,-0.0224760868742,6.93889390391e-18,1,8.30178920393e-17
+6,0.4782969,-0.0216342254636,3.46944695195e-18,1,9.41596972788e-17
+7,0.43046721,-0.0209614435942,6.93889390391e-18,1,9.31152314698e-17
+8,0.387420489,-0.0206646535476,6.93889390391e-18,1,9.2596705311e-17
+9,0.3486784401,-0.0203634070509,1.04083408559e-17,1,9.24666194372e-17
+10,0.31381059609,-0.0191441046032,0,1,6.92369843523e-17
+11,0.282429536481,-0.01760774703,6.93889390391e-18,1,7.12293597981e-17
+12,0.254186582833,-0.015650108244,-3.46944695195e-18,1,8.00232282846e-17
+13,0.25,-0.015650108244,-3.46944695195e-18,0,8.00232282846e-17
+"""),
 }
 
 
 @pytest.mark.parametrize("name", list(CLI_PINNED))
 def test_pinned_cli_text(name, tmp_path):
     argv, summary, iterations = CLI_PINNED[name]
+    if MESH_FILE in argv:
+        mesh_path = tmp_path / MESH_FILE
+        export_mesh(jittered_mesh(12, seed=7), mesh_path)
+        argv = [str(mesh_path) if a == MESH_FILE else a for a in argv]
     out, iters = tmp_path / "run.csv", tmp_path / "iters.csv"
     extra = [] if iterations is None else ["--iters-csv", str(iters)]
     assert main(argv + ["--csv", str(out), *extra]) == 0

@@ -41,6 +41,15 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 solve_l0_penalized(problem, system, bad)
 
+    @pytest.mark.parametrize("policy", ["unconstrained_solve", "zero"])
+    def test_u0_needs_the_custom_policy(self, setup16, policy):
+        # any array, even one of the wrong length, would be ignored
+        problem, system = setup16
+        for u0 in (np.zeros(system.mesh.num_nodes), np.zeros(3)):
+            cfg = L0PenaltyConfig(K=0.25, u0_policy=policy, u0=u0)
+            with pytest.raises(ValueError, match="ignores it"):
+                solve_l0_penalized(problem, system, cfg)
+
 
 class TestPrototypeSolve:
     def test_converges_and_feasible(self, solution16):
