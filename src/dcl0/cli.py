@@ -92,6 +92,11 @@ def _mesh_from(opts):
     return build_structured_mesh(opts.n)
 
 
+def _mesh_size(opts):
+    """The summary CSV's ``n``: empty for a mesh file, which ignores it."""
+    return "" if opts.mesh_file else opts.n
+
+
 def _solver_config(opts, **settings):
     # solve_l0_penalized validates the settings
     u0 = None
@@ -181,7 +186,7 @@ def _summary_row(opts, rho, sol, schedule, settings=(), errors=()):
     """Summary CSV columns of one penalized solve, in order: the setting
     (``settings`` after the penalty), the solution (``errors`` after the
     gap), its counters and, for a scheduled solve, the schedule."""
-    row = {"n": opts.n, "K": opts.K, "rho": rho, **dict(settings),
+    row = {"n": _mesh_size(opts), "K": opts.K, "rho": rho, **dict(settings),
            "f": sol.objective, "l0": sol.l0, "gap": sol.gap, **dict(errors),
            "dc_iters": sol.dc_iters, "ssn_iters": sol.newton_iters,
            "selection_mode": "exact" if sol.gap_selection_exact else "greedy"}
@@ -259,9 +264,10 @@ def cmd_sparsa(opts):
                            node_l1_weights(system, opts.beta), cfg, u0)
         u_full, iters = system.expand(res.u), res.iters
     l0, gap, _ = support_metrics(u_full, system, opts.K)
-    _write_csv(opts.csv, [{"n": opts.n, "K": opts.K, "beta": opts.beta,
-                           "f": problem.smooth_value(u_full), "l0": l0,
-                           "gap": gap, "iters": iters}])
+    f = problem.smooth_value(u_full)
+    _write_csv(opts.csv, [{"n": _mesh_size(opts), "K": opts.K,
+                           "beta": opts.beta, "f": f, "l0": l0, "gap": gap,
+                           "iters": iters}])
     _write_fields(opts, problem, system, u_full)
     return 0 if _self_check(opts, system, l0, gap) else 1
 
@@ -297,9 +303,9 @@ def cmd_verify(opts):
         raise ConfigError(f"{opts.csv}: expected a header and a data row")
     row = dict(zip(lines[0].split(","), lines[-1].split(",")))
     needed = ["K", "l0", "gap"] + ([] if opts.mesh_file else ["n"])
-    missing = [name for name in needed if name not in row]
+    missing = [name for name in needed if not row.get(name)]
     if missing:
-        raise ConfigError(f"{opts.csv}: no {' or '.join(missing)} column")
+        raise ConfigError(f"{opts.csv}: no {' or '.join(missing)} value")
     system = assemble(import_mesh(opts.mesh_file) if opts.mesh_file
                       else build_structured_mesh(int(row["n"])))
     ok, l0, gap = _recheck_field(opts.solution_out, system, float(row["K"]),

@@ -108,8 +108,7 @@ def _validate(nodes, triangles):
         raise MeshFormatError(
             f"triangle {bad} has non-positive area {areas[bad]:g}; "
             "nodes must be ordered counterclockwise")
-    referenced = np.unique(triangles)
-    if referenced.size != num_nodes:
+    if np.any(np.bincount(triangles.ravel(), minlength=num_nodes) == 0):
         raise MeshFormatError("mesh contains nodes not used by any triangle")
     return TriMesh(nodes=nodes, triangles=triangles,
                    boundary_nodes=_boundary_nodes(triangles, num_nodes))
@@ -187,8 +186,7 @@ def write_field(path, values):
     values = np.asarray(values, dtype=float)
     with open(path, "w") as fh:
         fh.write(f"field {values.size}\n")
-        for v in values:
-            fh.write(f"{float(v)!r}\n")
+        fh.write("".join(f"{v!r}\n" for v in values.tolist()))
 
 
 def read_field(path):

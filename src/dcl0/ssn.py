@@ -8,8 +8,9 @@ condition is written as the projected residual
 
     F_tau(u) = g(u) - clip(g(u) - u/tau, -c, c) = 0,   g(u) = Hu - q - t,
 
-and solved by a local semismooth Newton active-set method; an independent
-proximal-gradient fixed-point iteration serves as a cross-check oracle.
+and solved by a semismooth Newton active-set method that takes tau from
+each iterate; an independent proximal-gradient fixed-point iteration serves
+as a cross-check oracle.
 
 The tilt is kept separate from q on purpose: where a component of the tilt
 equals the corresponding L1 bound (the common case in the DC iteration,
@@ -199,13 +200,14 @@ def f_tau_residual(u, H: QuadraticOperator, q, weights: L1Weights, tau,
     return F
 
 
-def default_tau(warm_start, weights: L1Weights):
+def default_tau(u, weights: L1Weights):
     """Scale parameter coupling the residual to the iterate and threshold
-    magnitudes, evaluated once per outer iteration from the warm start."""
+    magnitudes, ``100 max|u| / max c``; :func:`ssn_solve` evaluates it at
+    every Newton iterate."""
     cmax = float(weights.c.max()) if weights.c.size else 0.0
     if cmax <= 0.0:
         return 1.0
-    umax = max(float(np.max(np.abs(warm_start))), np.finfo(float).eps)
+    umax = max(float(np.max(np.abs(u))), np.finfo(float).eps)
     return max(100.0 * umax / cmax, TAU_FLOOR)
 
 
@@ -220,64 +222,40 @@ class SsnResult:
 def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
               tilt=None) -> SsnResult:
     """Semismooth Newton active-set iteration on ``F_tau(u) = 0``, with
-    :func:`default_tau` of the warm start; it converges at residual
-    :data:`SSN_TOL` and gives up after :data:`MAX_NEWTON` steps.
+    :func:`default_tau` of the current iterate; it converges at residual
+    :data:`SSN_TOL` and gives up after :data:`MAX_NEWTON` steps, returning
+    the last iterate whose residual it evaluated.
 
     Each step classifies components by the projection: where the projection
     is unclamped the component is fixed to zero, the clamped components keep
     their bound value and the corresponding principal quadratic system is
-    solved.  A proximal-gradient fallback guards against cycling (the plain
-    method is only locally convergent).
+    solved: the primal-dual active-set method read as semismooth Newton
+    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002).  There is no
+    fallback; at ``u = 0`` neither the residual nor the step depends on tau.
     """
     q = np.asarray(q, dtype=float)
     c = weights.c
     n = q.size
     u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
     tilt = np.zeros(n) if tilt is None else np.asarray(tilt, dtype=float)
-    tau = default_tau(u, weights)
 
-    best_u, best_res = u, np.inf
-    stall = 0
-    lipschitz = None
-    iters = 0
-    for _ in range(MAX_NEWTON):
+    last, res = u, np.inf
+    for iters in range(MAX_NEWTON):
         base_g = H.apply(u) - q
-        F, inactive, shift = _residual_parts(u, base_g, tilt, c, tau)
+        F, inactive, shift = _residual_parts(u, base_g, tilt, c,
+                                             default_tau(u, weights))
         res = float(np.linalg.norm(F))
-        if res < best_res:
-            best_u, best_res = u, res
-            stall = 0
-        else:
-            stall += 1
         if res <= SSN_TOL:
             return SsnResult(u=u, residual=res, iters=iters, converged=True)
-
-        if stall >= 5:
-            # cycling guard: proximal-gradient steps until the residual halves
-            if lipschitz is None:
-                lipschitz = 1.01 * max(H.norm_estimate(), 1e-300)
-            target = 0.5 * best_res
-            v = u.copy()
-            for _ in range(2000):
-                grad = H.apply(v) - q - tilt
-                v = _soft_threshold(v - grad / lipschitz, c / lipschitz)
-                r = float(np.linalg.norm(f_tau_residual(v, H, q, weights, tau,
-                                                        tilt=tilt)))
-                if r <= target:
-                    break
-            u = v
-            stall = 0
-            continue
 
         active = np.flatnonzero(~inactive)
         u_new = np.zeros(n)
         if active.size:
             u_new[active] = H.solve_principal(
                 active, q[active] + shift[active], x0=u[active])
-        iters += 1
-        u = u_new
+        last, u = u, u_new
 
-    return SsnResult(u=best_u, residual=best_res, iters=iters, converged=False)
+    return SsnResult(u=last, residual=res, iters=MAX_NEWTON, converged=False)
 
 
 def _soft_threshold(v, thresh):

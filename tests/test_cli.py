@@ -82,7 +82,8 @@ class TestPoissonCommand:
         assert run("poisson", "--n", "8", "--csv", str(csv_a)) == 0
         assert run("poisson", "--mesh-file", str(mesh_path), "--n", "8",
                    "--csv", str(csv_b)) == 0
-        assert csv_a.read_text() == csv_b.read_text()
+        # the same solve; the mesh-file row leaves n empty
+        assert csv_b.read_text() == csv_a.read_text().replace("\n8,", "\n,")
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -313,6 +314,14 @@ class TestSparsaCommand:
         values = dict(zip(header.split(","), row.split(",")))
         assert int(values["dc_iters"]) <= 5
 
+    def test_mesh_file_row_has_no_size(self, tmp_path):
+        mesh_path = tmp_path / "mesh.txt"
+        export_mesh(build_structured_mesh(8), mesh_path)
+        csv = tmp_path / "run.csv"
+        assert run("sparsa", "--mesh-file", str(mesh_path),
+                   "--csv", str(csv)) == 0
+        assert csv.read_text().splitlines()[1].startswith(",0.25,")
+
 
 class TestControlCommand:
     def test_single_beta(self, tmp_path):
@@ -418,13 +427,30 @@ class TestVerifyCommand:
         sol = tmp_path / "u.txt"
         assert run("poisson", "--mesh-file", str(mesh_path), "--csv", str(csv),
                    "--solution-out", str(sol)) == 0
-        # the row's n is the unused default 128: drop the column
+        # the row's n is empty: drop the column
         header, line = csv.read_text().splitlines()
         row = dict(zip(header.split(","), line.split(",")))
-        assert row.pop("n") == "128" and float(row["l0"]) > 0.0
+        assert row.pop("n") == "" and float(row["l0"]) > 0.0
         csv.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
         assert run("verify", "--mesh-file", str(mesh_path), "--csv", str(csv),
                    "--solution-out", str(sol)) == 0
+
+    @pytest.mark.parametrize("command", [[], ["--schedule", "0.9"]])
+    def test_mesh_file_row_has_no_size(self, tmp_path, capsys, command):
+        mesh_path = tmp_path / "mesh.txt"
+        export_mesh(build_structured_mesh(8), mesh_path)
+        csv = tmp_path / "run.csv"
+        sol = tmp_path / "u.txt"
+        assert run("poisson", "--mesh-file", str(mesh_path), *command,
+                   "--csv", str(csv), "--solution-out", str(sol)) == 0
+        assert csv.read_text().splitlines()[1].startswith(",0.25,")
+        assert run("verify", "--mesh-file", str(mesh_path), "--csv", str(csv),
+                   "--solution-out", str(sol)) == 0
+        capsys.readouterr()
+        # without the mesh file the row names no mesh to rebuild
+        assert run("verify", "--csv", str(csv),
+                   "--solution-out", str(sol)) == 2
+        assert capsys.readouterr().err.endswith("no n value\n")
 
     @pytest.mark.parametrize("option, value", [("--n", "8"), ("--K", "0.25")])
     def test_rejects_mesh_size_and_budget(self, option, value):

@@ -137,6 +137,18 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match="no triangles"):
             import_mesh(path)
 
+    @pytest.mark.parametrize("unused", [0, 2, 3])
+    def test_rejects_unused_node(self, tmp_path, unused):
+        nodes = [[0, 0], [1, 0], [0, 1], [1, 1]]
+        rows = [r for r in ([0, 1, 2], [1, 3, 2], [0, 1, 3]) if unused not in r]
+        text = "nodes 4\n" + "".join(f"{x} {y}\n" for x, y in nodes)
+        text += f"triangles {len(rows)}\n" + "".join(
+            f"{a} {b} {c}\n" for a, b, c in rows)
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match="nodes not used"):
+            import_mesh(path)
+
     def test_parse_failure(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("vertices 3\n")
@@ -180,6 +192,16 @@ class TestMeshIO:
         path = tmp_path / "field.txt"
         write_field(path, values)
         assert np.array_equal(read_field(path), values)
+
+    def test_field_bytes(self, tmp_path):
+        # one repr per line, as a loop of float(v) writes would give
+        values = np.array([-0.0, 5e-324, 1e300, 0.1, -2.5])
+        path = tmp_path / "field.txt"
+        write_field(path, values)
+        expected = "field 5\n" + "".join(f"{float(v)!r}\n" for v in values)
+        assert path.read_bytes() == expected.encode()
+        assert path.read_text().splitlines()[1:4] == ["-0.0", "5e-324",
+                                                      "1e+300"]
 
     def test_field_bad_count(self, tmp_path):
         path = tmp_path / "field.txt"

@@ -137,7 +137,7 @@ n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode
     "poisson_mesh_file_schedule": (
         ["poisson", "--mesh-file", MESH_FILE, "--schedule", "0.9"], """\
 n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
-128,0.25,1000000000,-0.0156501047746,0.249518728356,-3.46944695195e-18,14,17,greedy,0.9,14
+,0.25,1000000000,-0.0156501047746,0.249518728356,-3.46944695195e-18,14,17,greedy,0.9,14
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
 0,0.9,-0.0303976412577,-6.93889390391e-18,2,1.37167301277e-16

@@ -211,6 +211,19 @@ class TestPenaltySweep:
             assert abs(sol.gap) <= 1e-12 * max(weighted_l1(w, elems), 1.0)
             assert sol.l0 <= 0.25 + system.elem_measure.max()
 
+    def test_ladder_from_small_penalty(self):
+        # the penalty method's ladder passes through moderate rho, where the
+        # subproblems need several Newton steps from each warm start
+        system = assemble(build_structured_mesh(32), default_load)
+        problem = poisson_prototype(system)
+        rhos = [0.1 * 3.0 ** k for k in range(11)]
+        assert rhos[-1] <= 1e4
+        sol = penalty_sweep(problem, system, L0PenaltyConfig(K=0.25), rhos)[-1]
+        l1 = weighted_l1(w_of(sol.u, system),
+                         DiscreteMeasureSpace(system.elem_measure))
+        assert sol.l0 <= 0.25
+        assert abs(sol.gap) <= 1e-12 * max(l1, 1.0)
+
     def test_irregular_mesh_greedy_selection(self, rng, tmp_path):
         # perturbed interior nodes give incommensurate element measures, so
         # subgradient selection and diagnostics run on the greedy path

@@ -184,6 +184,31 @@ class TestSsnSolve:
         assert second.iters == 0
         assert np.array_equal(second.u, first.u)
 
+    def test_newton_steps_on_acceptance_instances(self):
+        # the random instances of acceptance criterion 5, from a zero start
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            n = int(rng.integers(5, 201))
+            H = QuadraticOperator.from_matrix(random_spd(rng, n))
+            q = rng.standard_normal(n) * 0.2
+            c = rng.random(n) * rng.choice([0.0, 0.05, 0.2])
+            res = ssn_solve(H, q, L1Weights(c))
+            assert res.converged
+            assert res.iters <= 6
+
+    def test_nonzero_warm_start_matches_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            n = int(rng.integers(5, 60))
+            H = random_spd_operator(rng, n)
+            q = rng.standard_normal(n)
+            c = 1.0 + 0.1 * rng.standard_normal(n) ** 2
+            u0 = 1e-3 * rng.standard_normal(n)
+            res = ssn_solve(H, q, L1Weights(c), u0=u0)
+            assert res.converged and res.residual <= ssn.SSN_TOL
+            oracle = prox_grad_oracle(H, q, L1Weights(c), tol=1e-13)
+            assert np.max(np.abs(res.u - oracle)) <= 1e-8
+
     def test_max_newton_flag(self, rng, monkeypatch):
         monkeypatch.setattr(ssn, "MAX_NEWTON", 0)
         n = 10
@@ -192,9 +217,23 @@ class TestSsnSolve:
         res = ssn_solve(H, q, L1Weights(np.full(n, 0.1)))
         assert not res.converged
 
+    def test_unconverged_returns_last_evaluated_iterate(self, rng,
+                                                        monkeypatch):
+        monkeypatch.setattr(ssn, "MAX_NEWTON", 2)
+        n = 40
+        H = random_spd_operator(rng, n)
+        q = rng.standard_normal(n) * 10.0
+        weights = L1Weights(np.full(n, 0.1))
+        res = ssn_solve(H, q, weights)
+        assert not res.converged and res.iters == 2
+        # the iterate after one Newton step, with its own residual
+        F = f_tau_residual(res.u, H, q, weights, default_tau(res.u, weights))
+        assert res.residual == float(np.linalg.norm(F)) > ssn.SSN_TOL
+        assert np.any(res.u != 0.0)
+
     def test_rejects_bad_tau(self, rng):
         # tau is not a caller's choice: a supplied value is refused, and the
-        # one ssn_solve derives from the warm start is positive even at zero
+        # one ssn_solve derives from each iterate is positive even at zero
         H = random_spd_operator(rng, 3)
         weights = L1Weights(np.ones(3))
         with pytest.raises(TypeError):
