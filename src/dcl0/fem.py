@@ -52,6 +52,7 @@ class TriMesh:
     nodes: np.ndarray           # (N, 2) coordinates
     triangles: np.ndarray       # (m, 3) node indices, positive orientation
     boundary_nodes: np.ndarray  # sorted indices of nodes on the boundary
+    areas: np.ndarray           # (m,) triangle areas, all positive
 
     @property
     def num_nodes(self):
@@ -111,7 +112,8 @@ def _validate(nodes, triangles):
     if np.any(np.bincount(triangles.ravel(), minlength=num_nodes) == 0):
         raise MeshFormatError("mesh contains nodes not used by any triangle")
     return TriMesh(nodes=nodes, triangles=triangles,
-                   boundary_nodes=_boundary_nodes(triangles, num_nodes))
+                   boundary_nodes=_boundary_nodes(triangles, num_nodes),
+                   areas=areas)
 
 
 def build_structured_mesh(n: int) -> TriMesh:
@@ -266,12 +268,14 @@ def _grid_laplacian_solver(A):
     """:class:`_GridLaplacianSolver` for ``A`` when ``A`` equals the 5-point
     Laplacian of a square grid to within :data:`GRID_TOL` per entry (the
     free-dof stiffness of :func:`build_structured_mesh`), otherwise None.
+    A mesh without interior nodes has a 0 x 0 stiffness and no grid.
 
     The size and the diagonal are checked before the whole stencil is.
     """
     n = A.shape[0]
     m = math.isqrt(n)
-    if m * m != n or not np.all(np.abs(A.diagonal() - 4.0) <= GRID_TOL):
+    if (n == 0 or m * m != n
+            or not np.all(np.abs(A.diagonal() - 4.0) <= GRID_TOL)):
         return None
     T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
     diff = sp.csr_matrix(A - sp.kronsum(T, T, format="csr"))
@@ -344,51 +348,77 @@ class FemSystem:
         return self._stiffness_lu.solve(rhs)
 
 
+#: slots filled per pass when laying out the element blocks by node; it
+#: bounds that loop's temporaries to a few MB whatever the mesh size
+_CHUNK = 1 << 16
+
+
 def _assemble_nodes(mesh: TriMesh, g=None):
-    """Stiffness, mass and load of every node, boundary included, and the
-    triangle areas: ``(A_full, M_full, b_full, areas)``.
+    """Stiffness and mass of every node, boundary included, as one complex
+    matrix ``A + iM``, and the load of every node: ``(K_full, b_full)``.
 
     Stiffness and mass use the exact P1 element integrals; the load uses the
     three-point edge-midpoint rule (exact for quadratic integrands).
+
+    The element blocks form one list, triangle by triangle and each 3x3
+    block row by row.  Row ``r`` of ``K_full`` holds, before duplicates are
+    summed, the block rows of node ``r`` in list order: the layout scipy's
+    COO -> CSR conversion gives that list.  Scipy's duplicate summation
+    therefore adds every entry's terms in the order a conversion of the list
+    would, and complex addition is per component, so ``A`` and ``M`` are
+    bit for bit what two separate conversions give.
     """
-    nodes, tris = mesh.nodes, mesh.triangles
-    num_nodes = mesh.num_nodes
-    areas = _signed_areas(nodes, tris)
-    if np.any(areas <= 0.0):
-        raise MeshFormatError("degenerate element in mesh")
-
-    p = nodes[tris]                       # (m, 3, 2)
-    # gradients of the three barycentric basis functions on each triangle
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    grads = np.stack([e0 @ rot.T, e1 @ rot.T, e2 @ rot.T], axis=1)
-    grads /= (2.0 * areas)[:, None, None]
-
-    a_loc = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
-    m_loc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
-
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    A_full = sp.coo_matrix((a_loc.ravel(), (rows, cols)),
-                           shape=(num_nodes, num_nodes)).tocsr()
-    M_full = sp.coo_matrix((m_loc.ravel(), (rows, cols)),
-                           shape=(num_nodes, num_nodes)).tocsr()
+    nodes, tris, areas = mesh.nodes, mesh.triangles, mesh.areas
+    num_nodes, m = mesh.num_nodes, mesh.num_triangles
+    x, y = nodes[:, 0][tris.T], nodes[:, 1][tris.T]   # (3, m): vertex i
 
     b_full = np.zeros(num_nodes)
     if g is not None:
-        mid01 = 0.5 * (p[:, 0] + p[:, 1])
-        mid12 = 0.5 * (p[:, 1] + p[:, 2])
-        mid20 = 0.5 * (p[:, 2] + p[:, 0])
-        g01 = np.asarray(g(mid01[:, 0], mid01[:, 1]), dtype=float)
-        g12 = np.asarray(g(mid12[:, 0], mid12[:, 1]), dtype=float)
-        g20 = np.asarray(g(mid20[:, 0], mid20[:, 1]), dtype=float)
+        g01, g12, g20 = (
+            np.asarray(g(0.5 * (x[i] + x[j]), 0.5 * (y[i] + y[j])), dtype=float)
+            for i, j in ((0, 1), (1, 2), (2, 0)))
         scale = areas / 6.0
         b_loc = np.stack([(g01 + g20) * scale, (g01 + g12) * scale,
                           (g12 + g20) * scale], axis=1)
         np.add.at(b_full, tris.ravel(), b_loc.ravel())
-    return A_full, M_full, b_full, areas
+        del g01, g12, g20, b_loc
+
+    # 2 area times the gradient of barycentric basis i is the opposite edge
+    # p_{i+2} - p_{i+1} turned by a quarter, rot(x, y) = (-y, x)
+    gx = (y[[1, 2, 0]] - y[[2, 0, 1]]) / (2.0 * areas)
+    gy = (x[[2, 0, 1]] - x[[1, 2, 0]]) / (2.0 * areas)
+    del x, y
+    stiff = np.empty((m, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            stiff[:, i, j] = stiff[:, j, i] = (gx[i] * gx[j]
+                                               + gy[i] * gy[j]) * areas
+    del gx, gy
+
+    # slot 3 t + i is vertex i of triangle t and block row i of triangle t;
+    # sorting the slots by node, stably, lists each node's block rows in
+    # list order
+    slots = np.argsort(tris.ravel(), kind="stable")
+    indptr = np.zeros(num_nodes + 1, dtype=np.int32)
+    np.cumsum(3 * np.bincount(tris.ravel(), minlength=num_nodes),
+              out=indptr[1:])
+    indices = np.empty((3 * m, 3), dtype=np.int32)
+    data = np.empty((3 * m, 3), dtype=complex)
+    stiff_rows, mass = stiff.reshape(3 * m, 3), areas / 12.0
+    for start in range(0, 3 * m, _CHUNK):
+        s = slots[start:start + _CHUNK]
+        t = s // 3
+        rows = data[start:start + s.size]
+        indices[start:start + s.size] = tris[t]
+        rows.real = stiff_rows[s]
+        rows.imag = mass[t][:, None]
+        rows.imag[np.arange(s.size), s - 3 * t] *= 2.0
+    del stiff, stiff_rows, slots
+    K_full = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                           shape=(num_nodes, num_nodes))
+    del data, indices
+    K_full.sum_duplicates()
+    return K_full, b_full
 
 
 def assemble(mesh: TriMesh, g=None) -> FemSystem:
@@ -396,17 +426,25 @@ def assemble(mesh: TriMesh, g=None) -> FemSystem:
     homogeneous Dirichlet data (see :func:`_assemble_nodes`) and eliminate
     the boundary nodes."""
     tris, num_nodes, m = mesh.triangles, mesh.num_nodes, mesh.num_triangles
-    A_full, M_full, b_full, areas = _assemble_nodes(mesh, g)
-    elem_idx = np.repeat(np.arange(m), 3)
-    incidence = sp.coo_matrix((np.ones(3 * m), (elem_idx, tris.ravel())),
-                              shape=(m, num_nodes)).tocsr()
-    patch_measure = incidence.T @ areas
-    basis_integral = patch_measure / 3.0
+    on_boundary = np.zeros(num_nodes, dtype=bool)
+    on_boundary[mesh.boundary_nodes] = True
+    free = np.flatnonzero(~on_boundary)
+    K_full, b_full = _assemble_nodes(mesh, g)
+    K = K_full[free][:, free]
+    del K_full
+    A, M = (sp.csr_matrix((part.copy(), K.indices.copy(), K.indptr.copy()),
+                          shape=K.shape)
+            for part in (K.data.real, K.data.imag))
+    del K
 
-    free = np.setdiff1d(np.arange(num_nodes), mesh.boundary_nodes)
-    return FemSystem(mesh=mesh, A=A_full[free][:, free].tocsr(),
-                     M=M_full[free][:, free].tocsr(), b=b_full[free],
-                     incidence=incidence, elem_measure=areas,
+    # each row holds the three sorted node indices of one triangle
+    incidence = sp.csr_matrix(
+        (np.ones(3 * m), np.sort(tris, axis=1).astype(np.int32).ravel(),
+         np.arange(0, 3 * m + 1, 3, dtype=np.int32)), shape=(m, num_nodes))
+    patch_measure = incidence.T @ mesh.areas
+    basis_integral = patch_measure / 3.0
+    return FemSystem(mesh=mesh, A=A, M=M, b=b_full[free],
+                     incidence=incidence, elem_measure=mesh.areas,
                      patch_measure=patch_measure, basis_integral=basis_integral,
                      free_nodes=free)
 

@@ -1,10 +1,9 @@
-import dataclasses
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dcl0.fem import assemble, build_structured_mesh
+from dcl0.fem import _validate, assemble, build_structured_mesh
 from dcl0.problems import default_load, poisson_prototype
 from dcl0.ssn import QuadraticOperator
 
@@ -50,4 +49,4 @@ def jittered_mesh(n, jitter=0.2, seed=0):
     offsets = np.random.default_rng(seed).uniform(
         -jitter / n, jitter / n, size=(interior.size, 2))
     nodes[interior] += offsets
-    return dataclasses.replace(mesh, nodes=nodes)
+    return _validate(nodes, mesh.triangles)

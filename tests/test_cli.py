@@ -355,6 +355,16 @@ class TestControlCommand:
         assert np.max(np.abs(read_field(sol))) <= 1e-12
 
 
+    def test_mesh_without_interior_nodes(self, tmp_path):
+        # one triangle: every node is on the boundary, no control dofs
+        path = tmp_path / "mesh.txt"
+        path.write_text("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n")
+        csv = tmp_path / "ctl.csv"
+        assert run("control", "--mesh-file", str(path),
+                   "--csv", str(csv)) == 0
+        assert csv.read_text().splitlines()[1] == (
+            ",0.25,1000000000,1e-07,1e-07,0,0,0,0,1,0,exact")
+
     def test_beta_conflicts_with_betas(self, tmp_path):
         csv = tmp_path / "ctl.csv"
         assert run("control", "--n", "8", "--beta", "1e-3",

@@ -1,13 +1,17 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import jittered_mesh
 from dcl0.fem import (MeshFormatError, _assemble_nodes, _boundary_nodes,
-                      _grid_laplacian_solver, assemble, build_structured_mesh,
-                      export_mesh, import_mesh, read_field, write_field, w_of)
+                      _grid_laplacian_solver, _validate, assemble,
+                      build_structured_mesh, export_mesh, import_mesh,
+                      read_field, write_field, w_of)
 from dcl0.measures import DiscreteMeasureSpace, weighted_l0, weighted_l1
 from dcl0.problems import default_load, poisson_prototype
 from dcl0.ssn import factor_spd
@@ -228,25 +232,25 @@ class TestMeshIO:
 class TestAssembly:
     def test_zero_load(self):
         mesh = build_structured_mesh(4)
-        _, _, b_full, _ = _assemble_nodes(mesh, g=None)
+        _, b_full = _assemble_nodes(mesh, g=None)
         assert np.array_equal(b_full, np.zeros(mesh.num_nodes))
 
     def test_constants_in_stiffness_kernel(self):
         mesh = build_structured_mesh(5)
-        A_full, _, _, _ = _assemble_nodes(mesh)
+        A_full = _assemble_nodes(mesh)[0].real
         ones = np.ones(mesh.num_nodes)
         assert np.max(np.abs(A_full @ ones)) <= 1e-12
 
     def test_free_block_of_node_matrices(self):
         # assemble keeps the free rows and columns of the node matrices
         mesh = jittered_mesh(6, seed=3)
-        A_full, M_full, b_full, areas = _assemble_nodes(mesh, default_load)
+        K_full, b_full = _assemble_nodes(mesh, default_load)
         system = assemble(mesh, default_load)
         free = system.free_nodes
-        for full, block in ((A_full, system.A), (M_full, system.M)):
+        for full, block in ((K_full.real, system.A), (K_full.imag, system.M)):
             assert (full[free][:, free] != block).nnz == 0
         assert np.array_equal(b_full[free], system.b)
-        assert np.array_equal(areas, system.elem_measure)
+        assert np.array_equal(mesh.areas, system.elem_measure)
 
     def test_stiffness_spd(self, rng):
         system = assemble(build_structured_mesh(6))
@@ -275,7 +279,7 @@ class TestAssembly:
     def test_mass_row_sums(self):
         mesh = build_structured_mesh(5)
         system = assemble(mesh)
-        _, M_full, _, _ = _assemble_nodes(mesh)
+        M_full = _assemble_nodes(mesh)[0].imag
         row_sums = np.asarray(M_full.sum(axis=1)).ravel()
         assert np.allclose(row_sums, system.basis_integral, rtol=1e-13)
 
@@ -283,7 +287,7 @@ class TestAssembly:
         # per-element linear interpolants: fit the affine function through
         # the vertex values and integrate the gradient product analytically
         mesh = build_structured_mesh(4)
-        A_full, _, _, _ = _assemble_nodes(mesh)
+        A_full = _assemble_nodes(mesh)[0].real
         u = rng.standard_normal(mesh.num_nodes)
         v = rng.standard_normal(mesh.num_nodes)
         energy = 0.0
@@ -303,7 +307,7 @@ class TestAssembly:
         def g(x, y):
             return 3.0 * x + 2.0 * y - 1.0
 
-        _, _, b_full, _ = _assemble_nodes(mesh, g)
+        _, b_full = _assemble_nodes(mesh, g)
         exact = np.zeros(mesh.num_nodes)
         for t, tri in enumerate(mesh.triangles):
             for local, j in enumerate(tri):
@@ -328,6 +332,91 @@ class TestAssembly:
         x = system.stiffness_solve(rhs)
         assert (np.linalg.norm(system.A @ x - rhs)
                 <= 1e-12 * np.linalg.norm(rhs))
+
+
+def reference_assemble(mesh, g=None):
+    """Straightforward P1 assembly, kept as the bit-level reference: element
+    gradients by a rotation matmul, element blocks by einsum, one int64 COO
+    list per matrix converted to CSR by scipy, and the free block sliced out
+    of the all-node matrices."""
+    nodes, tris = mesh.nodes, mesh.triangles
+    num_nodes, m = mesh.num_nodes, mesh.num_triangles
+    p = nodes[tris]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    grads = np.stack([(p[:, 2] - p[:, 1]) @ rot.T, (p[:, 0] - p[:, 2]) @ rot.T,
+                      (p[:, 1] - p[:, 0]) @ rot.T], axis=1)
+    grads /= (2.0 * areas)[:, None, None]
+    a_loc = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
+    m_loc = ((np.ones((3, 3)) + np.eye(3))[None, :, :]
+             * (areas / 12.0)[:, None, None])
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    shape = (num_nodes, num_nodes)
+    A_full = sp.coo_matrix((a_loc.ravel(), (rows, cols)), shape=shape).tocsr()
+    M_full = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=shape).tocsr()
+    b_full = np.zeros(num_nodes)
+    if g is not None:
+        mids = [0.5 * (p[:, i] + p[:, j]) for i, j in ((0, 1), (1, 2), (2, 0))]
+        g01, g12, g20 = (np.asarray(g(mid[:, 0], mid[:, 1]), dtype=float)
+                         for mid in mids)
+        scale = areas / 6.0
+        b_loc = np.stack([(g01 + g20) * scale, (g01 + g12) * scale,
+                          (g12 + g20) * scale], axis=1)
+        np.add.at(b_full, tris.ravel(), b_loc.ravel())
+    incidence = sp.coo_matrix(
+        (np.ones(3 * m), (np.repeat(np.arange(m), 3), tris.ravel())),
+        shape=(m, num_nodes)).tocsr()
+    free = np.setdiff1d(np.arange(num_nodes), mesh.boundary_nodes)
+    return {"A": A_full[free][:, free].tocsr(),
+            "M": M_full[free][:, free].tocsr(), "b": b_full[free],
+            "incidence": incidence, "elem_measure": areas,
+            "patch_measure": incidence.T @ areas}
+
+
+def traced_peak(fn, *args):
+    """Peak of the memory traced by ``tracemalloc`` during ``fn(*args)``,
+    the returned value included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+ASSEMBLY_MESHES = (
+    [pytest.param(("grid", n, None), id=f"grid-{n}") for n in (2, 3, 7, 64)]
+    + [pytest.param(("jitter", n, seed), id=f"jitter-{n}-seed{seed}")
+       for n in (6, 24, 48) for seed in (0, 1, 2)])
+
+
+class TestAssemblyMatchesReference:
+    @pytest.mark.parametrize("case", ASSEMBLY_MESHES)
+    @pytest.mark.parametrize("g", [None, default_load], ids=["no-load", "load"])
+    def test_bit_identical(self, case, g):
+        kind, n, seed = case
+        mesh = (build_structured_mesh(n) if kind == "grid"
+                else jittered_mesh(n, seed=seed))
+        ref = reference_assemble(mesh, g)
+        system = assemble(mesh, g)
+        for name in ("A", "M", "incidence"):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(getattr(system, name), part),
+                                      getattr(ref[name], part)), (name, part)
+        for name in ("b", "elem_measure", "patch_measure"):
+            assert np.array_equal(getattr(system, name), ref[name]), name
+
+    def test_peak_memory_below_reference(self):
+        # a deterministic guard: peak RSS depends on the allocator, the
+        # traced peak only on what assembly allocates
+        mesh = build_structured_mesh(128)
+        assert (traced_peak(assemble, mesh, default_load)
+                <= 0.9 * traced_peak(reference_assemble, mesh, default_load))
 
 
 class TestWOf:
@@ -452,7 +541,7 @@ class TestGridSolver:
         mesh = build_structured_mesh(16)
         nodes = mesh.nodes.copy()
         nodes[8 * 17 + 8] += [0.01 / 16, 0.0]
-        system = assemble(dataclasses.replace(mesh, nodes=nodes))
+        system = assemble(_validate(nodes, mesh.triangles))
         assert system.grid_solver() is None
 
     def test_rejects_off_diagonal_change(self):
