@@ -22,7 +22,7 @@ from .measures import largest_k_auto
 from .problems import ControlConfig, control_reduced, default_load, poisson_prototype
 from .solver import (L0PenaltyConfig, penalty_sweep, scaled_gradient,
                      solve_l0_penalized, support_metrics)
-from .sparsa import SparsaConfig, SparsaError, node_l1_weights, sparsa_solve
+from .sparsa import SparsaError, node_l1_weights, sparsa_solve
 from .ssn import SsnError
 
 __all__ = ["main"]
@@ -107,8 +107,7 @@ def _solver_config(opts, **settings):
     policy = "custom" if u0 is not None else opts.u0 or "unconstrained_solve"
     return L0PenaltyConfig(K=opts.K, schedule_lambda=opts.schedule,
                            zero_sign_policy=opts.zero_sign,
-                           u0_policy=policy, u0=u0, max_iter=opts.max_iter,
-                           **settings)
+                           u0_policy=policy, u0=u0, **settings)
 
 
 def _write_iters(path, solution):
@@ -171,7 +170,6 @@ DC_SPEC = {
     "zero_sign": (str, "zero"),
     "u0": (str, None),
     "u0_file": (str, None),
-    "max_iter": (int, 500),
 }
 
 #: outputs of a single run: poisson, control and sparsa
@@ -223,36 +221,30 @@ def cmd_poisson(opts):
 
 CONTROL_SPEC = {**POISSON_SPEC,
                 "alpha": (float, 1e-7),
-                "beta": (float, None),
-                "betas": (_float_list, None),
+                "beta": (_float_list, None),
                 "y_d_file": (str, None)}
 
 
 def cmd_control(opts):
-    if opts.beta is not None and opts.betas is not None:
-        raise ConfigError("--beta conflicts with --betas")
-    if opts.betas == []:
-        raise ConfigError("no beta values in --betas")
+    if opts.beta == []:
+        raise ConfigError("no beta values in --beta")
     system = assemble(_mesh_from(opts))
     y_d = read_field(opts.y_d_file) if opts.y_d_file else None
-    # one problem at a time, built just before its solve
+    # one problem per beta, built just before its solve; beta None is alpha
     ctrls = (ControlConfig(alpha=opts.alpha, beta=beta, y_d=y_d)
-             for beta in opts.betas or [opts.beta])
+             for beta in opts.beta or [None])
     runs = ((control_reduced(system, ctrl),
              {"alpha": ctrl.alpha, "beta": ctrl.beta}) for ctrl in ctrls)
     return _penalized_runs(opts, system, runs)
 
 
 SPARSA_SPEC = {**MESH_SPEC, "u0_file": DC_SPEC["u0_file"], **RUN_OUTPUT_SPEC,
-               "beta": (float, 4.360),
-               "rel_tol": (float, 1e-5),
-               "sparsa_max_iter": (int, 20_000)}
+               "beta": (float, 4.360)}
 
 
 def cmd_sparsa(opts):
     system = assemble(_mesh_from(opts), default_load)
     problem = poisson_prototype(system)
-    cfg = SparsaConfig(rel_tol=opts.rel_tol, max_iter=opts.sparsa_max_iter)
     # read and length-check the start point even where beta = 0 ignores it
     u0 = system.restrict(read_field(opts.u0_file)) if opts.u0_file else None
     if opts.beta == 0.0:
@@ -261,7 +253,7 @@ def cmd_sparsa(opts):
         if u0 is None:
             u0 = system.restrict(problem.unconstrained_minimizer())
         res = sparsa_solve(problem.hessian, problem.q_smooth,
-                           node_l1_weights(system, opts.beta), cfg, u0)
+                           node_l1_weights(system, opts.beta), u0)
         u_full, iters = system.expand(res.u), res.iters
     l0, gap, _ = support_metrics(u_full, system, opts.K)
     f = problem.smooth_value(u_full)

@@ -31,6 +31,9 @@ __all__ = ["L0PenaltyConfig", "L0Solution", "IterationRow",
 ZERO_SIGN_POLICIES = ("zero", "plus", "minus", "sign_of_load")
 U0_POLICIES = ("unconstrained_solve", "zero", "custom")
 
+#: DC sweeps allowed after the budget schedule has reached the target K
+MAX_SWEEPS = 500
+
 
 @dataclass
 class L0PenaltyConfig:
@@ -39,7 +42,8 @@ class L0PenaltyConfig:
     ``K`` is the support-measure budget, ``rho`` the penalty factor.  With
     ``schedule_lambda`` set, the budget starts at the full domain measure
     and shrinks geometrically until it reaches ``K``; termination is only
-    allowed afterwards.  ``zero_sign_policy`` chooses the subgradient sign
+    allowed afterwards, and at most ``MAX_SWEEPS`` sweeps follow the
+    schedule's last step.  ``zero_sign_policy`` chooses the subgradient sign
     on zero components, ``u0_policy`` the starting point.
     """
 
@@ -49,7 +53,6 @@ class L0PenaltyConfig:
     zero_sign_policy: str = "zero"
     u0_policy: str = "unconstrained_solve"
     u0: np.ndarray = None
-    max_iter: int = 500
 
     def validate(self, total_measure):
         if not 0.0 < self.K <= total_measure * (1.0 + BUDGET_RTOL):
@@ -58,8 +61,6 @@ class L0PenaltyConfig:
             raise ValueError("rho must be positive")
         if not np.isfinite(self.rho):
             raise ValueError("rho must be finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
         if self.schedule_lambda is not None and not 0.0 < self.schedule_lambda < 1.0:
             raise ValueError("schedule_lambda must lie in (0, 1)")
         if self.zero_sign_policy not in ZERO_SIGN_POLICIES:
@@ -214,14 +215,9 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
         return value
 
     u0 = _initial_point(problem, cfg)
-    if steps > cfg.max_iter:
-        # the iteration may not stop before the schedule's last step
-        raise dc.DcError(f"no fixed point within max_iter={cfg.max_iter} "
-                         "sweeps; the budget schedule never reached the "
-                         "target K", cfg.max_iter)
     dc_problem = dc.DcProblem(g_solve=g_solve, h_subgrad=h_subgrad,
                               objective=objective)
-    u, sweeps = dc.dc_solve(dc_problem, u0, max_iter=cfg.max_iter,
+    u, sweeps = dc.dc_solve(dc_problem, u0, max_iter=steps + MAX_SWEEPS,
                             min_sweeps=steps)
 
     l0, gap, final_sel = support_metrics(u, system, cfg.K)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ssn import QuadraticOperator, _soft_threshold
 
-__all__ = ["SparsaConfig", "SparsaResult", "SparsaError", "sparsa_solve",
+__all__ = ["SparsaResult", "SparsaError", "sparsa_solve",
            "node_l1_weights"]
 
 
@@ -26,23 +26,13 @@ __all__ = ["SparsaConfig", "SparsaResult", "SparsaError", "sparsa_solve",
 WINDOW, ETA, SIGMA = 5, 2.0, 0.01
 ALPHA_MIN, ALPHA_MAX = 1e-20, 1e20
 
+#: stopping rule: both the relative objective change and the relative step
+#: at most REL_TOL, within MAX_ITER iterations
+REL_TOL, MAX_ITER = 1e-5, 20_000
+
 
 class SparsaError(RuntimeError):
     """Iteration cap reached before the stopping test was met."""
-
-
-@dataclass
-class SparsaConfig:
-    """Stopping parameters; the step rule uses the module constants."""
-
-    rel_tol: float = 1e-5
-    max_iter: int = 20_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -58,10 +48,10 @@ def node_l1_weights(system, beta):
     return beta * system.basis_integral[system.free_nodes]
 
 
-def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
-                 u0) -> SparsaResult:
+def sparsa_solve(H: QuadraticOperator, q, l1_weights, u0) -> SparsaResult:
     """Run SpaRSA from ``u0``; stops when both the relative objective change
-    and the relative step fall below ``cfg.rel_tol``."""
+    and the relative step fall below ``REL_TOL``, and raises
+    :class:`SparsaError` after ``MAX_ITER`` iterations without that."""
     q = np.asarray(q, dtype=float)
     w = np.asarray(l1_weights, dtype=float)
     if np.any(w < 0.0):
@@ -81,7 +71,7 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
     history = [(value, np.nan, np.nan)]
     alpha = 1.0
     tiny = np.finfo(float).eps  # zero-denominator guard for the stop test
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         ref = max(window)
         while True:
             u_next = _soft_threshold(u - grad / alpha, w / alpha)
@@ -107,6 +97,6 @@ def sparsa_solve(H: QuadraticOperator, q, l1_weights, cfg: SparsaConfig,
         else:
             alpha = 1.0
         u, value, grad = u_next, value_next, grad_next
-        if rel_obj <= cfg.rel_tol and rel_step <= cfg.rel_tol:
+        if rel_obj <= REL_TOL and rel_step <= REL_TOL:
             return SparsaResult(u=u, iters=k, history=history)
-    raise SparsaError(f"no convergence within {cfg.max_iter} iterations")
+    raise SparsaError(f"no convergence within {MAX_ITER} iterations")

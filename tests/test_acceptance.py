@@ -18,7 +18,7 @@ from dcl0.measures import (DiscreteMeasureSpace, largest_k_exact,
 from dcl0.problems import (ControlConfig, control_reduced, default_load,
                            poisson_prototype)
 from dcl0.solver import L0PenaltyConfig, penalty_sweep, solve_l0_penalized
-from dcl0.sparsa import SparsaConfig, node_l1_weights, sparsa_solve
+from dcl0.sparsa import node_l1_weights, sparsa_solve
 from dcl0.ssn import L1Weights, QuadraticOperator, prox_grad_oracle, ssn_solve
 
 PAPER_F = {16: -0.0058, 32: -0.0075, 64: -0.0083}
@@ -83,7 +83,7 @@ def sparsa_runs():
     problem = poisson_prototype(system)
     u0 = system.restrict(problem.unconstrained_minimizer())
     res = sparsa_solve(problem.hessian, problem.q_smooth,
-                       node_l1_weights(system, 4.360), SparsaConfig(), u0)
+                       node_l1_weights(system, 4.360), u0)
     cfg = L0PenaltyConfig(K=0.25, rho=1e9, u0_policy="custom",
                           u0=system.expand(res.u))
     sol, val0 = run_case(problem, system, cfg)

@@ -180,10 +180,6 @@ class TestPoissonCommand:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ["poisson", "--n", "8", "--max-iter", "0"],
-        ["sparsa", "--n", "8", "--rel-tol", "-1", "--sparsa-max-iter", "5"],
-        ["sparsa", "--n", "8", "--rel-tol", "0"],
-        ["sparsa", "--n", "8", "--sparsa-max-iter", "0"],
         ["sparsa", "--n", "8", "--beta", "-1"],
         ["poisson", "--n", "8", "--rho", "nan"],
         ["poisson", "--n", "8", "--rho", "inf"],
@@ -191,43 +187,36 @@ class TestPoissonCommand:
         ["control", "--n", "8", "--beta", "inf"],
         ["sparsa", "--n", "8", "--beta", "nan"],
         ["sweep", "--n", "4", "--rhos", ","],
-        ["control", "--n", "8", "--betas", ","],
-        ["control", "--n", "8", "--betas", ""],
+        ["control", "--n", "8", "--beta", ","],
+        ["control", "--n", "8", "--beta", ""],
         ["poisson", "--n", "1"],
-    ], ids=["max-iter-0", "rel-tol-negative", "rel-tol-zero",
-            "sparsa-max-iter-0", "negative-beta", "rho-nan", "rho-inf",
-            "alpha-nan", "beta-inf", "sparsa-beta-nan", "sweep-no-rhos",
-            "control-no-betas", "control-empty-betas", "n-1"])
+    ], ids=["negative-beta", "rho-nan", "rho-inf", "alpha-nan", "beta-inf",
+            "sparsa-beta-nan", "sweep-no-rhos", "control-no-betas",
+            "control-empty-betas", "n-1"])
     def test_invalid_setting_is_a_config_error(self, tmp_path, capsys, argv):
         csv = tmp_path / "run.csv"
         assert run(*argv, "--csv", str(csv)) == 2
         assert capsys.readouterr().err.startswith("dcl0: config error: ")
         assert not csv.exists()
 
-    def test_iteration_cap_fails(self, tmp_path, capsys):
+    def test_iteration_cap_fails(self, tmp_path, capsys, monkeypatch):
         # n=16 needs 2 sweeps to confirm its fixed point
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
         csv = tmp_path / "run.csv"
-        assert run("poisson", "--n", "16", "--max-iter", "1",
-                   "--csv", str(csv)) == 1
+        assert run("poisson", "--n", "16", "--csv", str(csv)) == 1
         assert "no fixed point" in capsys.readouterr().err
         assert not csv.exists()
 
-    def test_long_schedule_fails_before_the_first_sweep(self, tmp_path, capsys,
-                                                        monkeypatch):
-        # lambda = 0.9 needs 14 sweeps to reach K = 0.25: no subproblem is
-        # solved under a cap of 5
-        calls = []
-        monkeypatch.setattr(solver, "ssn_solve",
-                            lambda *args, **kwargs: calls.append(args))
+    def test_schedule_longer_than_the_sweep_cap_runs(self, tmp_path):
+        # lambda = 0.9975 takes 554 steps to reach K = 0.25; the sweep cap
+        # counts after them
         csv = tmp_path / "run.csv"
-        assert run("poisson", "--n", "16", "--schedule", "0.9",
-                   "--max-iter", "5", "--csv", str(csv)) == 1
-        assert capsys.readouterr().err == (
-            "dcl0: solver failure: iteration 5: no fixed point within "
-            "max_iter=5 sweeps; the budget schedule never reached the "
-            "target K\n")
-        assert calls == []
-        assert not csv.exists()
+        assert run("poisson", "--n", "8", "--schedule", "0.9975",
+                   "--csv", str(csv)) == 0
+        header, row = csv.read_text().strip().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert int(values["sched_steps"]) == 554 > solver.MAX_SWEEPS
+        assert float(values["l0"]) <= 0.25
 
 
     def test_u0_file_conflicts_with_other_start_policy(self, tmp_path):
@@ -336,7 +325,7 @@ class TestControlCommand:
     def test_beta_sweep_rows(self, tmp_path):
         csv = tmp_path / "ctl.csv"
         assert run("control", "--n", "8", "--K", "0.25",
-                   "--betas", "1e-7,1e-9", "--schedule", "0.9",
+                   "--beta", "1e-7,1e-9", "--schedule", "0.9",
                    "--csv", str(csv)) == 0
         lines = csv.read_text().strip().splitlines()
         assert len(lines) == 3
@@ -364,12 +353,6 @@ class TestControlCommand:
                    "--csv", str(csv)) == 0
         assert csv.read_text().splitlines()[1] == (
             ",0.25,1000000000,1e-07,1e-07,0,0,0,0,1,0,exact")
-
-    def test_beta_conflicts_with_betas(self, tmp_path):
-        csv = tmp_path / "ctl.csv"
-        assert run("control", "--n", "8", "--beta", "1e-3",
-                   "--betas", "1e-7", "--csv", str(csv)) == 2
-        assert not csv.exists()
 
 
 class TestSweepCommand:
@@ -506,7 +489,11 @@ DROPPED = [("sparsa", "rho", "1e9"), ("sparsa", "schedule", "0.9"),
            ("sparsa", "max-iter", "5"), ("sparsa", "iters-csv", "it.csv"),
            ("sweep", "rho", "1e9"), ("sweep", "verify", "true"),
            ("sweep", "iters-csv", "it.csv"),
-           ("sweep", "multiplier-out", "mult.txt")]
+           ("sweep", "multiplier-out", "mult.txt"),
+           ("poisson", "max-iter", "5"), ("control", "max-iter", "5"),
+           ("sweep", "max-iter", "5"), ("control", "betas", "1e-7,1e-9"),
+           ("sparsa", "rel-tol", "1e-9"),
+           ("sparsa", "sparsa-max-iter", "5")]
 
 
 def readme_option_table():

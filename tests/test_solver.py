@@ -36,8 +36,7 @@ class TestConfigValidation:
                     L0PenaltyConfig(K=0.25, rho=np.inf),
                     L0PenaltyConfig(K=0.25, schedule_lambda=1.0),
                     L0PenaltyConfig(K=0.25, zero_sign_policy="maybe"),
-                    L0PenaltyConfig(K=0.25, u0_policy="custom"),
-                    L0PenaltyConfig(K=0.25, max_iter=0)):
+                    L0PenaltyConfig(K=0.25, u0_policy="custom")):
             with pytest.raises(ValueError):
                 solve_l0_penalized(problem, system, bad)
 
@@ -136,20 +135,23 @@ class TestSchedule:
         with pytest.raises(DcError, match="semismooth Newton stopped"):
             solve_l0_penalized(problem, system, cfg)
 
-    def test_schedule_needs_iterations(self, setup16):
-        problem, system = setup16
-        cfg = L0PenaltyConfig(K=0.25, rho=1e9, schedule_lambda=0.9,
-                              max_iter=5)
-        with pytest.raises(DcError, match="schedule never reached"):
-            solve_l0_penalized(problem, system, cfg)
-
-    def test_iteration_cap_is_an_error(self, setup16):
+    def test_iteration_cap_is_an_error(self, setup16, monkeypatch):
         # the unscheduled n=16 run needs 2 sweeps to confirm its fixed point
         problem, system = setup16
-        cfg = L0PenaltyConfig(K=0.25, rho=1e9, max_iter=1)
-        with pytest.raises(DcError, match="no fixed point") as info:
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
+        cfg = L0PenaltyConfig(K=0.25, rho=1e9)
+        with pytest.raises(DcError, match="max_iter=1 sweeps"):
             solve_l0_penalized(problem, system, cfg)
-        assert "schedule" not in str(info.value)
+
+    def test_sweep_cap_counts_after_the_schedule(self):
+        # lambda = 0.9975 takes 554 steps from the full measure down to K,
+        # more than MAX_SWEEPS sweeps
+        system = assemble(build_structured_mesh(8), default_load)
+        cfg = L0PenaltyConfig(K=0.25, rho=1e9, schedule_lambda=0.9975)
+        sol = solve_l0_penalized(poisson_prototype(system), system, cfg)
+        assert sol.schedule_steps == 554 > solver.MAX_SWEEPS
+        assert sol.dc_iters >= 554
+        assert sol.l0 <= 0.25
 
 
 class TestOptimalityReport:
