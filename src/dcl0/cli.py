@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .dc import DcError
 # w_of and largest_k_auto are not called here: perfbench/spans.py patches them
 from .fem import (MeshFormatError, assemble, build_structured_mesh,
@@ -83,7 +85,9 @@ def boolean(text):
 
 
 def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    # "" and "," are the empty list; an empty value among others is an error
+    tokens = text.split(",")
+    return [float(t) for t in tokens] if any(map(str.strip, tokens)) else []
 
 
 def _mesh_from(opts):
@@ -97,17 +101,23 @@ def _mesh_size(opts):
     return "" if opts.mesh_file else opts.n
 
 
-def _solver_config(opts, **settings):
-    # solve_l0_penalized validates the settings
+def _solver_config(opts, system, **settings):
+    """The solve's settings, which solve_l0_penalized validates; ``u0`` is
+    the ``--u0-file`` field, zeros for ``--u0 zero``, or None by default."""
     u0 = None
     if opts.u0_file:
         if opts.u0 not in (None, "custom"):
             raise ConfigError(f"--u0 {opts.u0} conflicts with --u0-file")
         u0 = read_field(opts.u0_file)
-    policy = "custom" if u0 is not None else opts.u0 or "unconstrained_solve"
+    elif opts.u0 == "zero":
+        u0 = np.zeros(system.mesh.num_nodes)
+    elif opts.u0 == "custom":
+        raise ConfigError("--u0 custom needs --u0-file")
+    elif opts.u0 not in (None, "unconstrained_solve"):
+        raise ConfigError(f"unknown --u0 {opts.u0!r}")
     return L0PenaltyConfig(K=opts.K, schedule_lambda=opts.schedule,
-                           zero_sign_policy=opts.zero_sign,
-                           u0_policy=policy, u0=u0, **settings)
+                           zero_sign_policy=opts.zero_sign, u0=u0,
+                           **settings)
 
 
 def _write_iters(path, solution):
@@ -163,8 +173,8 @@ MESH_SPEC = {
     "csv": (str, None),
 }
 
-#: DC-solve settings: poisson, control and sweep; the start point is the
-#: unconstrained solution, or --u0-file with --u0 unset or custom
+#: DC-solve settings: poisson, control and sweep; _solver_config turns
+#: --u0 and --u0-file into the start point
 DC_SPEC = {
     "schedule": (float, None),
     "zero_sign": (str, "zero"),
@@ -196,7 +206,7 @@ def _summary_row(opts, rho, sol, schedule, settings=(), errors=()):
 def _penalized_runs(opts, system, runs):
     """Solve each ``(problem, settings)`` of ``runs``, one summary row each;
     the last solve writes the iteration CSV and fields and is verified."""
-    cfg = _solver_config(opts, rho=opts.rho)
+    cfg = _solver_config(opts, system, rho=opts.rho)
     rows = []
     for problem, settings in runs:
         sol = solve_l0_penalized(problem, system, cfg)
@@ -272,7 +282,8 @@ SWEEP_SPEC = {**MESH_SPEC, **DC_SPEC,
 def cmd_sweep(opts):
     system = assemble(_mesh_from(opts), default_load)
     problem = poisson_prototype(system)
-    solutions = penalty_sweep(problem, system, _solver_config(opts), opts.rhos)
+    solutions = penalty_sweep(problem, system, _solver_config(opts, system),
+                              opts.rhos)
     # only the first solve of a sweep runs the schedule: no schedule columns
     _write_csv(opts.csv, [_summary_row(opts, rho, sol, None)
                           for rho, sol in zip(opts.rhos, solutions)])

@@ -62,5 +62,4 @@ def dc_solve(problem: DcProblem, u0, max_iter=500, min_sweeps=1):
         u = u_next
         if at_fixed_point and k + 1 >= min_sweeps:
             return u, k + 1
-    raise DcError(f"no fixed point within max_iter={max_iter} sweeps",
-                  max_iter)
+    raise DcError(f"no fixed point after {max_iter} sweeps", max_iter)

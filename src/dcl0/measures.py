@@ -223,16 +223,14 @@ def _exact_equal_weights(absx, lam, budget):
 
 
 def _exact_dp(absx, lam, budget, unit):
-    """0/1 knapsack DP on integer-rescaled weights with traceback."""
+    """0/1 knapsack DP on integer-rescaled weights with traceback; the
+    caller keeps the table within :data:`DP_CELL_LIMIT` cells."""
     items = np.flatnonzero(absx > 0.0)
     w_int = np.round(lam[items] / unit).astype(np.int64)
     cap = _int_capacity(budget / unit)
     if cap <= 0 or items.size == 0:
         return _selection([], absx, lam, exact=True)
     w_int = np.minimum(w_int, cap + 1)
-    if items.size * (cap + 1) > DP_CELL_LIMIT:
-        raise OracleLimitError(
-            f"dp table {items.size} x {cap + 1} exceeds the configured limit")
     profits = lam[items] * absx[items]
     best = np.zeros(cap + 1)
     take = np.zeros((items.size, cap + 1), dtype=bool)
@@ -358,15 +356,16 @@ def reformulation_gap(x, space: DiscreteMeasureSpace, budget) -> float:
     return weighted_l1(x, space) - sel.value
 
 
-def subgradient_largest_k(x, space: DiscreteMeasureSpace, budget,
+def subgradient_largest_k(x, space: DiscreteMeasureSpace,
                           selection: KSelection, zero_sign_policy="zero"):
     """Subgradient of the largest-K-norm from a maximizing selection.
 
     On selected atoms the component is ``lam_i * sign(x_i)``; where the
     selected atom has ``x_i == 0`` the sign is chosen by ``zero_sign_policy``
     ("zero", "plus", "minus", or an explicit sign vector).  Off the
-    selection the subgradient vanishes.  This is a true subgradient only
-    when the selection is exact.
+    selection the subgradient vanishes.  The budget enters only through
+    the selection, and this is a true subgradient only when the selection
+    is exact.
     """
     x = _check_dims(x, space)
     if selection.indices.size and selection.indices.max() >= space.n:

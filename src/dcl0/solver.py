@@ -29,7 +29,6 @@ __all__ = ["L0PenaltyConfig", "L0Solution", "IterationRow",
            "scaled_gradient", "optimality_report", "penalty_sweep"]
 
 ZERO_SIGN_POLICIES = ("zero", "plus", "minus", "sign_of_load")
-U0_POLICIES = ("unconstrained_solve", "zero", "custom")
 
 #: DC sweeps allowed after the budget schedule has reached the target K
 MAX_SWEEPS = 500
@@ -44,14 +43,14 @@ class L0PenaltyConfig:
     and shrinks geometrically until it reaches ``K``; termination is only
     allowed afterwards, and at most ``MAX_SWEEPS`` sweeps follow the
     schedule's last step.  ``zero_sign_policy`` chooses the subgradient sign
-    on zero components, ``u0_policy`` the starting point.
+    on zero components.  The iteration starts from ``u0``, a full-length
+    nodal vector, or from the unconstrained minimizer when ``u0`` is None.
     """
 
     K: float
     rho: float = 1e9
     schedule_lambda: float = None
     zero_sign_policy: str = "zero"
-    u0_policy: str = "unconstrained_solve"
     u0: np.ndarray = None
 
     def validate(self, total_measure):
@@ -65,13 +64,6 @@ class L0PenaltyConfig:
             raise ValueError("schedule_lambda must lie in (0, 1)")
         if self.zero_sign_policy not in ZERO_SIGN_POLICIES:
             raise ValueError(f"unknown zero_sign_policy {self.zero_sign_policy!r}")
-        if self.u0_policy not in U0_POLICIES:
-            raise ValueError(f"unknown u0_policy {self.u0_policy!r}")
-        if self.u0_policy == "custom" and self.u0 is None:
-            raise ValueError("u0_policy 'custom' needs an explicit u0")
-        if self.u0_policy != "custom" and self.u0 is not None:
-            raise ValueError(f"u0 is given but u0_policy {self.u0_policy!r} "
-                             "ignores it; use u0_policy 'custom'")
 
 
 @dataclass
@@ -138,14 +130,12 @@ def _budgets(total, K, lam):
 
 
 def _initial_point(problem: ProblemDef, cfg: L0PenaltyConfig):
-    if cfg.u0_policy == "zero":
-        return np.zeros(problem.system.mesh.num_nodes)
-    if cfg.u0_policy == "custom":
-        u0 = np.asarray(cfg.u0, dtype=float)
-        if u0.size != problem.system.mesh.num_nodes:
-            raise ValueError("custom u0 must be a full-length nodal vector")
-        return u0.copy()
-    return problem.unconstrained_minimizer()
+    if cfg.u0 is None:
+        return problem.unconstrained_minimizer()
+    u0 = np.asarray(cfg.u0, dtype=float)
+    if u0.size != problem.system.mesh.num_nodes:
+        raise ValueError("u0 must be a full-length nodal vector")
+    return u0.copy()
 
 
 def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
@@ -185,8 +175,7 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
         # cost; without them the tilt vanishes on zero components and the
         # nonzero sign policies could never act from a zero iterate
         r = subgradient_largest_k(
-            w, elems, budget, complete_selection(sel, w, elems, budget),
-            "plus")
+            w, elems, complete_selection(sel, w, elems, budget), "plus")
         a = np.where(u_full == 0.0, zero_sign, np.sign(u_full))
         return cfg.rho * ((system.incidence.T @ r) * a)
 
@@ -296,6 +285,5 @@ def penalty_sweep(problem: ProblemDef, system: FemSystem,
         current = replace(current, rho=rho)
         sol = solve_l0_penalized(problem, system, current)
         solutions.append(sol)
-        current = replace(current, u0_policy="custom", u0=sol.u,
-                          schedule_lambda=None)
+        current = replace(current, u0=sol.u, schedule_lambda=None)
     return solutions

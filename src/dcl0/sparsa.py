@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ssn import QuadraticOperator, _soft_threshold
+from .ssn import L1Weights, QuadraticOperator, _soft_threshold
 
 __all__ = ["SparsaResult", "SparsaError", "sparsa_solve",
            "node_l1_weights"]
@@ -43,22 +43,19 @@ class SparsaResult:
 
 
 def node_l1_weights(system, beta):
-    """Per-node weights of the mesh-dependent L1 term on the free dofs:
-    ``beta`` times the basis-function integrals."""
-    return beta * system.basis_integral[system.free_nodes]
+    """Per-node thresholds of the mesh-dependent L1 term on the free dofs:
+    ``beta`` times the basis-function integrals, as :class:`L1Weights`."""
+    return L1Weights(beta * system.basis_integral[system.free_nodes])
 
 
-def sparsa_solve(H: QuadraticOperator, q, l1_weights, u0) -> SparsaResult:
-    """Run SpaRSA from ``u0``; stops when both the relative objective change
-    and the relative step fall below ``REL_TOL``, and raises
-    :class:`SparsaError` after ``MAX_ITER`` iterations without that."""
+def sparsa_solve(H: QuadraticOperator, q, weights: L1Weights,
+                 u0) -> SparsaResult:
+    """Run SpaRSA from ``u0`` with the L1 thresholds ``weights.c``; stops
+    when both the relative objective change and the relative step fall
+    below ``REL_TOL``, and raises :class:`SparsaError` after ``MAX_ITER``
+    iterations without that."""
     q = np.asarray(q, dtype=float)
-    w = np.asarray(l1_weights, dtype=float)
-    if np.any(w < 0.0):
-        # a negative weight makes the L1 term concave
-        raise ValueError("L1 weights must be nonnegative")
-    if not np.isfinite(w).all():
-        raise ValueError("L1 weights must be finite")
+    w = weights.c
     u = np.asarray(u0, dtype=float).copy()
 
     def phi(v):

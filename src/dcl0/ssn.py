@@ -160,14 +160,18 @@ class QuadraticOperator:
 
 @dataclass
 class L1Weights:
-    """Nonnegative per-component thresholds of the L1 term."""
+    """Nonnegative finite per-component thresholds ``c`` of the L1 term, the
+    one form in which both semismooth Newton and SpaRSA take them."""
 
     c: np.ndarray
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         if np.any(self.c < 0.0):
+            # a negative threshold makes the L1 term concave
             raise ValueError("L1 thresholds must be nonnegative")
+        if not np.isfinite(self.c).all():
+            raise ValueError("L1 thresholds must be finite")
 
 
 def _residual_parts(u, base_g, tilt, c, tau):

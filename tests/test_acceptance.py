@@ -31,12 +31,7 @@ def report(num, ok, detail):
 
 def run_case(problem, system, cfg):
     """Solve and return (solution, penalized objective at the start)."""
-    if cfg.u0_policy == "zero":
-        u0 = np.zeros(system.mesh.num_nodes)
-    elif cfg.u0_policy == "custom":
-        u0 = cfg.u0
-    else:
-        u0 = problem.unconstrained_minimizer()
+    u0 = problem.unconstrained_minimizer() if cfg.u0 is None else cfg.u0
     elems = DiscreteMeasureSpace(system.elem_measure)
     gap0 = reformulation_gap(w_of(u0, system), elems, cfg.K)
     val0 = problem.smooth_value(u0) + cfg.rho * gap0
@@ -84,8 +79,7 @@ def sparsa_runs():
     u0 = system.restrict(problem.unconstrained_minimizer())
     res = sparsa_solve(problem.hessian, problem.q_smooth,
                        node_l1_weights(system, 4.360), u0)
-    cfg = L0PenaltyConfig(K=0.25, rho=1e9, u0_policy="custom",
-                          u0=system.expand(res.u))
+    cfg = L0PenaltyConfig(K=0.25, rho=1e9, u0=system.expand(res.u))
     sol, val0 = run_case(problem, system, cfg)
     return problem, system, res, cfg, sol, val0
 
@@ -156,7 +150,7 @@ def test_criterion_3_subgradient_properties():
         space = DiscreteMeasureSpace(lam)
         K = float(rng.integers(1, int(lam.sum()) + 1))
         sel = largest_k_exact(x, space, K)
-        s = subgradient_largest_k(x, space, K, sel)
+        s = subgradient_largest_k(x, space, sel)
         bound_ok &= bool(np.all(np.abs(s) <= lam + 1e-15))
         bound_ok &= lam[s != 0.0].sum() <= K + 1e-12
         bound_ok &= abs(float(s @ x) - sel.value) <= 1e-9

@@ -111,7 +111,11 @@ class TestPoissonCommand:
     @pytest.mark.parametrize("option, text", [
         ("--mesh-file", "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n"),
         ("--u0-file", "field 2\n1.0\nabc\n"),
-    ], ids=["clockwise-mesh", "unparsable-field"])
+        ("--mesh-file", "nodes 3\n0 0\n1 0\n"),
+        ("--mesh-file", "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 5\n"),
+        ("--u0-file", "1.0\n2.0\n"),
+    ], ids=["clockwise-mesh", "unparsable-field", "truncated-mesh",
+            "node-index-out-of-range", "headerless-field"])
     def test_malformed_input_file_fails(self, tmp_path, option, text):
         path = tmp_path / "input.txt"
         path.write_text(text)
@@ -190,14 +194,37 @@ class TestPoissonCommand:
         ["control", "--n", "8", "--beta", ","],
         ["control", "--n", "8", "--beta", ""],
         ["poisson", "--n", "1"],
+        ["poisson", "--n", "8", "--u0", "custom"],
+        ["sweep", "--n", "4", "--u0", "bogus"],
     ], ids=["negative-beta", "rho-nan", "rho-inf", "alpha-nan", "beta-inf",
             "sparsa-beta-nan", "sweep-no-rhos", "control-no-betas",
-            "control-empty-betas", "n-1"])
+            "control-empty-betas", "n-1", "custom-u0-without-file",
+            "unknown-u0"])
     def test_invalid_setting_is_a_config_error(self, tmp_path, capsys, argv):
         csv = tmp_path / "run.csv"
         assert run(*argv, "--csv", str(csv)) == 2
         assert capsys.readouterr().err.startswith("dcl0: config error: ")
         assert not csv.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["control", "--n", "8", "--beta", "1e-7,,1e-9"],
+        ["sweep", "--n", "4", "--rhos", "1e3,"],
+    ], ids=["control-empty-beta", "sweep-trailing-comma"])
+    def test_empty_list_value_is_a_usage_error(self, tmp_path, capsys, argv):
+        csv = tmp_path / "run.csv"
+        assert run(*argv, "--csv", str(csv)) == 2
+        assert "invalid _float_list value" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_short_start_field_is_a_config_error(self, tmp_path, capsys):
+        start = tmp_path / "u0.txt"
+        write_field(start, [0.0, 1.0])
+        csv = tmp_path / "run.csv"
+        assert run("poisson", "--n", "8", "--u0-file", str(start),
+                   "--csv", str(csv)) == 2
+        assert capsys.readouterr().err == (
+            "dcl0: config error: u0 must be a full-length nodal vector\n")
+        assert list(tmp_path.iterdir()) == [start]
 
     def test_iteration_cap_fails(self, tmp_path, capsys, monkeypatch):
         # n=16 needs 2 sweeps to confirm its fixed point

@@ -93,7 +93,7 @@ class TestDcSolve:
         flip = DcProblem(g_solve=lambda s, w: -w,
                          h_subgrad=lambda u, k: np.zeros_like(u),
                          objective=lambda u, k: 0.0)
-        with pytest.raises(DcError, match="max_iter=7") as err:
+        with pytest.raises(DcError, match="after 7 sweeps") as err:
             run(flip, np.array([1.0]), max_iter=7)
         assert err.value.iteration == 7
 

@@ -172,6 +172,21 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match=message):
             import_mesh(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 3\n0 0\n1 0\n0\n", "file ended prematurely"),
+        ("nodes 3\n0 0\n1 x\n0 1\ntriangles 1\n0 1 2\n",
+         "bad value near token 2"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n7\n",
+         "trailing data after triangle list"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 3\n",
+         "triangle refers to a node index out of range"),
+    ], ids=["truncated", "bad-value", "trailing-data", "index-out-of-range"])
+    def test_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match=message):
+            import_mesh(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_coordinate(self, tmp_path, bad):
         path = tmp_path / "bad.txt"
@@ -219,6 +234,14 @@ class TestMeshIO:
         path = tmp_path / "field.txt"
         path.write_text(text)
         with pytest.raises(MeshFormatError):
+            read_field(path)
+
+    @pytest.mark.parametrize("text", ["", "field\n", "values 1\n1.0\n"])
+    def test_field_needs_its_header(self, tmp_path, text):
+        path = tmp_path / "field.txt"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError,
+                           match="field file must start with 'field N'"):
             read_field(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

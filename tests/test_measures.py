@@ -39,6 +39,12 @@ class TestSpace:
         with pytest.raises(ValueError):
             DiscreteMeasureSpace([1.0, -2.0])
 
+    def test_rejects_empty_and_non_finite_weights(self):
+        with pytest.raises(ValueError, match="non-empty 1-d array"):
+            DiscreteMeasureSpace([])
+        with pytest.raises(ValueError, match="atom measures must be finite"):
+            DiscreteMeasureSpace([1.0, np.inf])
+
     def test_total_measure(self, space):
         assert space.total_measure() == 6.0
 
@@ -354,38 +360,38 @@ class TestGap:
 class TestSubgradient:
     def test_counterexample(self, space):
         sel = largest_k_exact(X, space, 4.0)
-        s = subgradient_largest_k(X, space, 4.0, sel)
+        s = subgradient_largest_k(X, space, sel)
         assert np.array_equal(s, [1.0, 0.0, 3.0])
 
     def test_zero_vector_zero_policy(self, space):
         sel = KSelection(indices=np.array([0, 1]), value=0.0, weight=3.0,
                          exact=True)
-        s = subgradient_largest_k(np.zeros(3), space, 4.0, sel, "zero")
+        s = subgradient_largest_k(np.zeros(3), space, sel, "zero")
         assert np.array_equal(s, np.zeros(3))
 
     def test_full_selection_positive_vector(self, space):
         x = np.array([1.0, 2.0, 3.0])
         sel = largest_k_exact(x, space, 6.0)
-        s = subgradient_largest_k(x, space, 6.0, sel)
+        s = subgradient_largest_k(x, space, sel)
         assert np.array_equal(s, LAM)
 
     def test_zero_sign_policies(self, space):
         sel = KSelection(indices=np.array([1]), value=0.0, weight=2.0,
                          exact=True)
         x = np.zeros(3)
-        assert subgradient_largest_k(x, space, 4.0, sel, "plus")[1] == 2.0
-        assert subgradient_largest_k(x, space, 4.0, sel, "minus")[1] == -2.0
-        custom = subgradient_largest_k(x, space, 4.0, sel,
+        assert subgradient_largest_k(x, space, sel, "plus")[1] == 2.0
+        assert subgradient_largest_k(x, space, sel, "minus")[1] == -2.0
+        custom = subgradient_largest_k(x, space, sel,
                                        np.array([-1.0, -1.0, 1.0]))
         assert custom[1] == -2.0
         with pytest.raises(ValueError):
-            subgradient_largest_k(x, space, 4.0, sel, "sideways")
+            subgradient_largest_k(x, space, sel, "sideways")
 
     def test_stale_selection_rejected(self, space):
         sel = KSelection(indices=np.array([5]), value=0.0, weight=0.0,
                          exact=True)
         with pytest.raises(ValueError):
-            subgradient_largest_k(X, space, 4.0, sel)
+            subgradient_largest_k(X, space, sel)
 
     def test_subgradient_inequality_exact_selections(self, rng):
         # <s, v> <= |v|_K for all v, with equality at the base point
@@ -396,7 +402,7 @@ class TestSubgradient:
             space = DiscreteMeasureSpace(lam)
             budget = float(rng.integers(1, int(lam.sum()) + 1))
             sel = largest_k_exact(x, space, budget)
-            s = subgradient_largest_k(x, space, budget, sel)
+            s = subgradient_largest_k(x, space, sel)
             assert float(s @ x) == pytest.approx(sel.value, rel=1e-12)
             for _ in range(200):
                 v = rng.standard_normal(n) * rng.choice([0.1, 1.0, 10.0])
@@ -413,6 +419,6 @@ class TestSubgradient:
             space = DiscreteMeasureSpace(lam)
             budget = float(rng.integers(0, int(lam.sum()) + 1))
             sel = largest_k_exact(x, space, budget)
-            s = subgradient_largest_k(x, space, budget, sel)
+            s = subgradient_largest_k(x, space, sel)
             assert np.all(np.abs(s) <= lam + 1e-15)
             assert lam[s != 0.0].sum() <= budget + 1e-12

@@ -101,7 +101,7 @@ def test_subgradient_inequality(instance, y_values):
     x, space, budget = instance
     y = np.array(y_values[:space.n])
     sel = largest_k_exact(x, space, budget)
-    s = subgradient_largest_k(x, space, budget, sel)
+    s = subgradient_largest_k(x, space, sel)
     norm_x = sel.value
     norm_y = largest_k_exact(y, space, budget).value
     scale = RTOL * max(weighted_l1(x, space), weighted_l1(y, space), 1.0)

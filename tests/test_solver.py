@@ -36,18 +36,9 @@ class TestConfigValidation:
                     L0PenaltyConfig(K=0.25, rho=np.inf),
                     L0PenaltyConfig(K=0.25, schedule_lambda=1.0),
                     L0PenaltyConfig(K=0.25, zero_sign_policy="maybe"),
-                    L0PenaltyConfig(K=0.25, u0_policy="custom")):
+                    L0PenaltyConfig(K=0.25, u0=np.zeros(3))):
             with pytest.raises(ValueError):
                 solve_l0_penalized(problem, system, bad)
-
-    @pytest.mark.parametrize("policy", ["unconstrained_solve", "zero"])
-    def test_u0_needs_the_custom_policy(self, setup16, policy):
-        # any array, even one of the wrong length, would be ignored
-        problem, system = setup16
-        for u0 in (np.zeros(system.mesh.num_nodes), np.zeros(3)):
-            cfg = L0PenaltyConfig(K=0.25, u0_policy=policy, u0=u0)
-            with pytest.raises(ValueError, match="ignores it"):
-                solve_l0_penalized(problem, system, cfg)
 
 
 class TestPrototypeSolve:
@@ -90,14 +81,16 @@ class TestPrototypeSolve:
         # with the zero subgradient policy the first subproblem is a pure
         # weighted-L1 problem whose solution is 0 for large rho
         problem, system = setup16
-        cfg = L0PenaltyConfig(K=0.25, rho=1e9, u0_policy="zero")
+        cfg = L0PenaltyConfig(K=0.25, rho=1e9,
+                              u0=np.zeros(system.mesh.num_nodes))
         sol = solve_l0_penalized(problem, system, cfg)
         assert np.array_equal(sol.u, np.zeros_like(sol.u))
         assert sol.status == "converged_fixed_point"
 
     def test_zero_start_load_sign_escapes(self, setup16):
         problem, system = setup16
-        cfg = L0PenaltyConfig(K=0.25, rho=1e9, u0_policy="zero",
+        cfg = L0PenaltyConfig(K=0.25, rho=1e9,
+                              u0=np.zeros(system.mesh.num_nodes),
                               zero_sign_policy="sign_of_load",
                               schedule_lambda=0.9)
         sol = solve_l0_penalized(problem, system, cfg)
@@ -140,7 +133,7 @@ class TestSchedule:
         problem, system = setup16
         monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
         cfg = L0PenaltyConfig(K=0.25, rho=1e9)
-        with pytest.raises(DcError, match="max_iter=1 sweeps"):
+        with pytest.raises(DcError, match="after 1 sweeps"):
             solve_l0_penalized(problem, system, cfg)
 
     def test_sweep_cap_counts_after_the_schedule(self):

@@ -27,14 +27,14 @@ class TestSparsaSolve:
         mat = random_spd(rng, 20)
         q = rng.standard_normal(20)
         H = QuadraticOperator.from_matrix(mat)
-        res = sparsa_solve(H, q, np.zeros(20), u0=np.zeros(20))
+        res = sparsa_solve(H, q, L1Weights(np.zeros(20)), u0=np.zeros(20))
         assert np.allclose(res.u, np.linalg.solve(mat.toarray(), q),
                            atol=1e-6)
 
     def test_scalar_soft_threshold_fixed_point(self, monkeypatch):
         monkeypatch.setattr(sparsa, "REL_TOL", 1e-10)
         H = QuadraticOperator.from_matrix(sp.csr_matrix(np.array([[2.0]])))
-        res = sparsa_solve(H, np.array([3.0]), np.array([1.0]),
+        res = sparsa_solve(H, np.array([3.0]), L1Weights([1.0]),
                            u0=np.array([0.0]))
         assert res.u[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -44,7 +44,8 @@ class TestSparsaSolve:
         mat = random_spd(rng, 30)
         q = rng.standard_normal(30) * 3.0
         H = QuadraticOperator.from_matrix(mat)
-        res = sparsa_solve(H, q, np.full(30, 0.3), u0=np.zeros(30))
+        res = sparsa_solve(H, q, L1Weights(np.full(30, 0.3)),
+                           u0=np.zeros(30))
         values = [v for v, _, _ in res.history]
         alphas = [a for _, a, _ in res.history]
         steps = [s for _, _, s in res.history]
@@ -58,23 +59,23 @@ class TestSparsaSolve:
         mat = random_spd(rng, 25)
         q = rng.standard_normal(25)
         H = QuadraticOperator.from_matrix(mat)
-        w = np.full(25, 0.2)
+        w = L1Weights(np.full(25, 0.2))
         res = sparsa_solve(H, q, w, u0=np.zeros(25))
         alpha_final = res.history[-1][1]
-        F = f_tau_residual(res.u, H, q, L1Weights(w), tau=1.0 / alpha_final)
+        F = f_tau_residual(res.u, H, q, w, tau=1.0 / alpha_final)
         assert np.linalg.norm(F) <= 1e-6 * (1.0 + np.linalg.norm(q))
 
     def test_rejects_negative_weights(self):
         H = QuadraticOperator.from_matrix(sp.csr_matrix(np.eye(2)))
         with pytest.raises(ValueError, match="nonnegative"):
-            sparsa_solve(H, np.ones(2), np.array([1.0, -1.0]),
+            sparsa_solve(H, np.ones(2), L1Weights([1.0, -1.0]),
                          u0=np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_weights(self, bad):
         H = QuadraticOperator.from_matrix(sp.csr_matrix(np.eye(2)))
         with pytest.raises(ValueError, match="finite"):
-            sparsa_solve(H, np.ones(2), np.array([1.0, bad]),
+            sparsa_solve(H, np.ones(2), L1Weights([1.0, bad]),
                          u0=np.zeros(2))
 
     def test_iteration_cap_raises(self, rng, monkeypatch):
@@ -83,7 +84,7 @@ class TestSparsaSolve:
         mat = random_spd(rng, 10)
         H = QuadraticOperator.from_matrix(mat)
         with pytest.raises(SparsaError, match="within 5 iterations"):
-            sparsa_solve(H, rng.standard_normal(10), np.zeros(10),
+            sparsa_solve(H, rng.standard_normal(10), L1Weights(np.zeros(10)),
                          u0=np.zeros(10))
 
 
@@ -92,7 +93,7 @@ class TestPrototypeBaseline:
         system = assemble(build_structured_mesh(8), default_load)
         w = node_l1_weights(system, 4.0)
         expected = 4.0 * system.patch_measure[system.free_nodes] / 3.0
-        assert np.allclose(w, expected, rtol=1e-14)
+        assert np.allclose(w.c, expected, rtol=1e-14)
 
     def test_prototype_run_is_sparse(self):
         system = assemble(build_structured_mesh(16), default_load)

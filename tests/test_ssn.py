@@ -59,6 +59,17 @@ class TestQuadraticOperator:
         assert op.norm_estimate(iters=200) == pytest.approx(true, rel=1e-6)
 
 
+class TestL1Weights:
+    def test_rejects_negative_threshold(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            L1Weights([1.0, -1e-300])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_threshold(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            L1Weights([1.0, bad])
+
+
 class TestFTauResidual:
     def test_zero_when_origin_optimal(self, rng):
         H = random_spd_operator(rng, 12)
