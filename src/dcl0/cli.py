@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .dc import DcError
 # w_of and largest_k_auto are not called here: perfbench/spans.py patches them
 from .fem import (MeshFormatError, assemble, build_structured_mesh,
@@ -23,7 +21,7 @@ from .fem import (MeshFormatError, assemble, build_structured_mesh,
 from .measures import largest_k_auto
 from .problems import ControlConfig, control_reduced, default_load, poisson_prototype
 from .solver import (L0PenaltyConfig, penalty_sweep, scaled_gradient,
-                     solve_l0_penalized, support_metrics)
+                     solve_l0_penalized, start_point, support_metrics)
 from .sparsa import SparsaError, node_l1_weights, sparsa_solve
 from .ssn import SsnError
 
@@ -87,7 +85,13 @@ def boolean(text):
 def _float_list(text):
     # "" and "," are the empty list; an empty value among others is an error
     tokens = text.split(",")
-    return [float(t) for t in tokens] if any(map(str.strip, tokens)) else []
+    if not any(map(str.strip, tokens)):
+        return []
+    try:
+        return [float(t) for t in tokens]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers") from None
 
 
 def _mesh_from(opts):
@@ -101,20 +105,10 @@ def _mesh_size(opts):
     return "" if opts.mesh_file else opts.n
 
 
-def _solver_config(opts, system, **settings):
+def _solver_config(opts, **settings):
     """The solve's settings, which solve_l0_penalized validates; ``u0`` is
-    the ``--u0-file`` field, zeros for ``--u0 zero``, or None by default."""
-    u0 = None
-    if opts.u0_file:
-        if opts.u0 not in (None, "custom"):
-            raise ConfigError(f"--u0 {opts.u0} conflicts with --u0-file")
-        u0 = read_field(opts.u0_file)
-    elif opts.u0 == "zero":
-        u0 = np.zeros(system.mesh.num_nodes)
-    elif opts.u0 == "custom":
-        raise ConfigError("--u0 custom needs --u0-file")
-    elif opts.u0 not in (None, "unconstrained_solve"):
-        raise ConfigError(f"unknown --u0 {opts.u0!r}")
+    the ``--u0-file`` field, or None without one."""
+    u0 = read_field(opts.u0_file) if opts.u0_file else None
     return L0PenaltyConfig(K=opts.K, schedule_lambda=opts.schedule,
                            zero_sign_policy=opts.zero_sign, u0=u0,
                            **settings)
@@ -173,12 +167,11 @@ MESH_SPEC = {
     "csv": (str, None),
 }
 
-#: DC-solve settings: poisson, control and sweep; _solver_config turns
-#: --u0 and --u0-file into the start point
+#: DC-solve settings: poisson, control and sweep; the --u0-file field is
+#: the start point, the unconstrained minimizer without one
 DC_SPEC = {
     "schedule": (float, None),
     "zero_sign": (str, "zero"),
-    "u0": (str, None),
     "u0_file": (str, None),
 }
 
@@ -206,7 +199,7 @@ def _summary_row(opts, rho, sol, schedule, settings=(), errors=()):
 def _penalized_runs(opts, system, runs):
     """Solve each ``(problem, settings)`` of ``runs``, one summary row each;
     the last solve writes the iteration CSV and fields and is verified."""
-    cfg = _solver_config(opts, system, rho=opts.rho)
+    cfg = _solver_config(opts, rho=opts.rho)
     rows = []
     for problem, settings in runs:
         sol = solve_l0_penalized(problem, system, cfg)
@@ -255,15 +248,17 @@ SPARSA_SPEC = {**MESH_SPEC, "u0_file": DC_SPEC["u0_file"], **RUN_OUTPUT_SPEC,
 def cmd_sparsa(opts):
     system = assemble(_mesh_from(opts), default_load)
     problem = poisson_prototype(system)
-    # read and length-check the start point even where beta = 0 ignores it
-    u0 = system.restrict(read_field(opts.u0_file)) if opts.u0_file else None
+    given = read_field(opts.u0_file) if opts.u0_file else None
+    # check a given start point even where beta = 0 ignores it
+    u0 = start_point(problem, given)
     if opts.beta == 0.0:
-        u_full, iters = problem.unconstrained_minimizer(), 0
+        # without the L1 term the answer is the unconstrained minimizer
+        u_full = u0 if given is None else problem.unconstrained_minimizer()
+        iters = 0
     else:
-        if u0 is None:
-            u0 = system.restrict(problem.unconstrained_minimizer())
         res = sparsa_solve(problem.hessian, problem.q_smooth,
-                           node_l1_weights(system, opts.beta), u0)
+                           node_l1_weights(system, opts.beta),
+                           system.restrict(u0))
         u_full, iters = system.expand(res.u), res.iters
     l0, gap, _ = support_metrics(u_full, system, opts.K)
     f = problem.smooth_value(u_full)
@@ -282,7 +277,7 @@ SWEEP_SPEC = {**MESH_SPEC, **DC_SPEC,
 def cmd_sweep(opts):
     system = assemble(_mesh_from(opts), default_load)
     problem = poisson_prototype(system)
-    solutions = penalty_sweep(problem, system, _solver_config(opts, system),
+    solutions = penalty_sweep(problem, system, _solver_config(opts),
                               opts.rhos)
     # only the first solve of a sweep runs the schedule: no schedule columns
     _write_csv(opts.csv, [_summary_row(opts, rho, sol, None)

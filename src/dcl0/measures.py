@@ -357,32 +357,18 @@ def reformulation_gap(x, space: DiscreteMeasureSpace, budget) -> float:
 
 
 def subgradient_largest_k(x, space: DiscreteMeasureSpace,
-                          selection: KSelection, zero_sign_policy="zero"):
+                          selection: KSelection):
     """Subgradient of the largest-K-norm from a maximizing selection.
 
-    On selected atoms the component is ``lam_i * sign(x_i)``; where the
-    selected atom has ``x_i == 0`` the sign is chosen by ``zero_sign_policy``
-    ("zero", "plus", "minus", or an explicit sign vector).  Off the
-    selection the subgradient vanishes.  The budget enters only through
-    the selection, and this is a true subgradient only when the selection
-    is exact.
+    On selected atoms the component is ``lam_i * sign(x_i)``, with the sign
+    of a zero ``x_i`` taken as +1; off the selection it vanishes.  The
+    budget enters only through the selection, and this is a true
+    subgradient only when the selection is exact.
     """
     x = _check_dims(x, space)
     if selection.indices.size and selection.indices.max() >= space.n:
         raise ValueError("selection indices out of range for this space")
-    if isinstance(zero_sign_policy, str):
-        try:
-            fill = {"zero": 0.0, "plus": 1.0, "minus": -1.0}[zero_sign_policy]
-        except KeyError:
-            raise ValueError(f"unknown zero_sign_policy {zero_sign_policy!r}")
-        signs = np.full(space.n, fill)
-    else:
-        signs = np.asarray(zero_sign_policy, dtype=float)
-        if signs.shape != (space.n,):
-            raise ValueError("sign vector must match the number of atoms")
-    a = np.sign(x)
-    a[x == 0.0] = signs[x == 0.0]
-    s = np.zeros(space.n)
     idx = selection.indices
-    s[idx] = space.weights[idx] * a[idx]
+    s = np.zeros(space.n)
+    s[idx] = np.where(x[idx] >= 0.0, space.weights[idx], -space.weights[idx])
     return s

@@ -26,7 +26,8 @@ from .ssn import SSN_TOL, L1Weights, SsnError, ssn_solve
 
 __all__ = ["L0PenaltyConfig", "L0Solution", "IterationRow",
            "OptimalityReport", "solve_l0_penalized", "support_metrics",
-           "scaled_gradient", "optimality_report", "penalty_sweep"]
+           "scaled_gradient", "optimality_report", "penalty_sweep",
+           "start_point"]
 
 ZERO_SIGN_POLICIES = ("zero", "plus", "minus", "sign_of_load")
 
@@ -42,9 +43,10 @@ class L0PenaltyConfig:
     ``schedule_lambda`` set, the budget starts at the full domain measure
     and shrinks geometrically until it reaches ``K``; termination is only
     allowed afterwards, and at most ``MAX_SWEEPS`` sweeps follow the
-    schedule's last step.  ``zero_sign_policy`` chooses the subgradient sign
-    on zero components.  The iteration starts from ``u0``, a full-length
-    nodal vector, or from the unconstrained minimizer when ``u0`` is None.
+    schedule's last step.  ``zero_sign_policy`` chooses the sign the
+    subgradient tilt takes on zero nodal components.  The iteration starts
+    from ``u0`` (see :func:`start_point`), or from the unconstrained
+    minimizer when ``u0`` is None.
     """
 
     K: float
@@ -129,13 +131,18 @@ def _budgets(total, K, lam):
     return budgets
 
 
-def _initial_point(problem: ProblemDef, cfg: L0PenaltyConfig):
-    if cfg.u0 is None:
+def start_point(problem: ProblemDef, u0):
+    """A copy of ``u0``, a full-length nodal vector that must vanish on the
+    Dirichlet nodes, or the unconstrained minimizer when ``u0`` is None."""
+    if u0 is None:
         return problem.unconstrained_minimizer()
-    u0 = np.asarray(cfg.u0, dtype=float)
-    if u0.size != problem.system.mesh.num_nodes:
+    u0 = np.array(u0, dtype=float)
+    mesh = problem.system.mesh
+    if u0.shape != (mesh.num_nodes,):
         raise ValueError("u0 must be a full-length nodal vector")
-    return u0.copy()
+    if np.any(u0[mesh.boundary_nodes] != 0.0):
+        raise ValueError("u0 must vanish on the Dirichlet boundary nodes")
+    return u0
 
 
 def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
@@ -175,7 +182,7 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
         # cost; without them the tilt vanishes on zero components and the
         # nonzero sign policies could never act from a zero iterate
         r = subgradient_largest_k(
-            w, elems, complete_selection(sel, w, elems, budget), "plus")
+            w, elems, complete_selection(sel, w, elems, budget))
         a = np.where(u_full == 0.0, zero_sign, np.sign(u_full))
         return cfg.rho * ((system.incidence.T @ r) * a)
 
@@ -203,7 +210,7 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
                                      ssn_residual=res.residual))
         return value
 
-    u0 = _initial_point(problem, cfg)
+    u0 = start_point(problem, cfg.u0)
     dc_problem = dc.DcProblem(g_solve=g_solve, h_subgrad=h_subgrad,
                               objective=objective)
     u, sweeps = dc.dc_solve(dc_problem, u0, max_iter=steps + MAX_SWEEPS,

@@ -194,26 +194,27 @@ class TestPoissonCommand:
         ["control", "--n", "8", "--beta", ","],
         ["control", "--n", "8", "--beta", ""],
         ["poisson", "--n", "1"],
-        ["poisson", "--n", "8", "--u0", "custom"],
-        ["sweep", "--n", "4", "--u0", "bogus"],
     ], ids=["negative-beta", "rho-nan", "rho-inf", "alpha-nan", "beta-inf",
             "sparsa-beta-nan", "sweep-no-rhos", "control-no-betas",
-            "control-empty-betas", "n-1", "custom-u0-without-file",
-            "unknown-u0"])
+            "control-empty-betas", "n-1"])
     def test_invalid_setting_is_a_config_error(self, tmp_path, capsys, argv):
         csv = tmp_path / "run.csv"
         assert run(*argv, "--csv", str(csv)) == 2
         assert capsys.readouterr().err.startswith("dcl0: config error: ")
         assert not csv.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["control", "--n", "8", "--beta", "1e-7,,1e-9"],
-        ["sweep", "--n", "4", "--rhos", "1e3,"],
-    ], ids=["control-empty-beta", "sweep-trailing-comma"])
-    def test_empty_list_value_is_a_usage_error(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, value", [
+        (["control", "--n", "8", "--beta"], "1e-7,,1e-9"),
+        (["sweep", "--n", "4", "--rhos"], "1e3,"),
+        (["sweep", "--n", "4", "--rhos"], "1e3,x"),
+    ], ids=["control-empty-beta", "sweep-trailing-comma", "sweep-non-numeric"])
+    def test_empty_list_value_is_a_usage_error(self, tmp_path, capsys, argv,
+                                               value):
         csv = tmp_path / "run.csv"
-        assert run(*argv, "--csv", str(csv)) == 2
-        assert "invalid _float_list value" in capsys.readouterr().err
+        assert run(*argv, value, "--csv", str(csv)) == 2
+        assert capsys.readouterr().err.endswith(
+            f"{argv[-1]}: {value!r} is not a comma-separated list of "
+            "numbers\n")
         assert not csv.exists()
 
     def test_short_start_field_is_a_config_error(self, tmp_path, capsys):
@@ -224,6 +225,23 @@ class TestPoissonCommand:
                    "--csv", str(csv)) == 2
         assert capsys.readouterr().err == (
             "dcl0: config error: u0 must be a full-length nodal vector\n")
+        assert list(tmp_path.iterdir()) == [start]
+
+    @pytest.mark.parametrize("argv", [
+        ["poisson"], ["control"], ["sweep", "--rhos", "1e3,1e9"],
+        ["sparsa"], ["sparsa", "--beta", "0"],
+    ], ids=["poisson", "control", "sweep", "sparsa", "sparsa-beta-0"])
+    def test_start_field_off_the_boundary_condition_is_a_config_error(
+            self, tmp_path, capsys, argv):
+        # node 0 is the corner (0, 0), a Dirichlet node
+        start = tmp_path / "u0.txt"
+        write_field(start, np.eye(1, 81).ravel())
+        csv = tmp_path / "run.csv"
+        assert run(*argv, "--n", "8", "--u0-file", str(start),
+                   "--csv", str(csv)) == 2
+        assert capsys.readouterr().err == (
+            "dcl0: config error: u0 must vanish on the Dirichlet boundary "
+            "nodes\n")
         assert list(tmp_path.iterdir()) == [start]
 
     def test_iteration_cap_fails(self, tmp_path, capsys, monkeypatch):
@@ -244,17 +262,6 @@ class TestPoissonCommand:
         values = dict(zip(header.split(","), row.split(",")))
         assert int(values["sched_steps"]) == 554 > solver.MAX_SWEEPS
         assert float(values["l0"]) <= 0.25
-
-
-    def test_u0_file_conflicts_with_other_start_policy(self, tmp_path):
-        start = tmp_path / "u0.txt"
-        write_field(start, np.zeros(81))
-        csv = tmp_path / "run.csv"
-        assert run("poisson", "--n", "8", "--u0", "zero",
-                   "--u0-file", str(start), "--csv", str(csv)) == 2
-        assert not csv.exists()
-        assert run("poisson", "--n", "8", "--u0", "custom",
-                   "--u0-file", str(start), "--csv", str(csv)) == 0
 
 
 class TestVerifyFlag:
@@ -513,6 +520,8 @@ class TestVerifyCommand:
 # options a command does not read, each with a value it would otherwise take
 DROPPED = [("sparsa", "rho", "1e9"), ("sparsa", "schedule", "0.9"),
            ("sparsa", "zero-sign", "plus"), ("sparsa", "u0", "zero"),
+           ("poisson", "u0", "zero"), ("control", "u0", "zero"),
+           ("sweep", "u0", "zero"),
            ("sparsa", "max-iter", "5"), ("sparsa", "iters-csv", "it.csv"),
            ("sweep", "rho", "1e9"), ("sweep", "verify", "true"),
            ("sweep", "iters-csv", "it.csv"),

@@ -364,10 +364,11 @@ class TestSubgradient:
         assert np.array_equal(s, [1.0, 0.0, 3.0])
 
     def test_zero_vector_zero_policy(self, space):
+        # a selected zero atom takes the sign +1
         sel = KSelection(indices=np.array([0, 1]), value=0.0, weight=3.0,
                          exact=True)
-        s = subgradient_largest_k(np.zeros(3), space, sel, "zero")
-        assert np.array_equal(s, np.zeros(3))
+        s = subgradient_largest_k(np.zeros(3), space, sel)
+        assert np.array_equal(s, [1.0, 2.0, 0.0])
 
     def test_full_selection_positive_vector(self, space):
         x = np.array([1.0, 2.0, 3.0])
@@ -378,14 +379,13 @@ class TestSubgradient:
     def test_zero_sign_policies(self, space):
         sel = KSelection(indices=np.array([1]), value=0.0, weight=2.0,
                          exact=True)
-        x = np.zeros(3)
-        assert subgradient_largest_k(x, space, sel, "plus")[1] == 2.0
-        assert subgradient_largest_k(x, space, sel, "minus")[1] == -2.0
-        custom = subgradient_largest_k(x, space, sel,
-                                       np.array([-1.0, -1.0, 1.0]))
-        assert custom[1] == -2.0
-        with pytest.raises(ValueError):
-            subgradient_largest_k(x, space, sel, "sideways")
+        assert np.array_equal(subgradient_largest_k(np.zeros(3), space, sel),
+                              [0.0, 2.0, 0.0])
+        # -0.0 is a zero atom too; negative atoms keep their sign
+        sel = KSelection(indices=np.array([0, 1, 2]), value=4.0, weight=6.0,
+                         exact=True)
+        s = subgradient_largest_k(np.array([-1.0, -0.0, 1.0]), space, sel)
+        assert np.array_equal(s, [-1.0, 2.0, 3.0])
 
     def test_stale_selection_rejected(self, space):
         sel = KSelection(indices=np.array([5]), value=0.0, weight=0.0,

@@ -3,11 +3,12 @@ iteration reaches.  The expected values were recorded with COLAMD-ordered
 SuperLU factorizations and the loop-based mesh and greedy-scan code; they
 must hold to 1e-10 relative."""
 
+import numpy as np
 import pytest
 
 from conftest import jittered_mesh
 from dcl0.cli import main
-from dcl0.fem import assemble, build_structured_mesh, export_mesh
+from dcl0.fem import assemble, build_structured_mesh, export_mesh, write_field
 from dcl0.problems import (ControlConfig, control_reduced, default_load,
                            poisson_prototype)
 from dcl0.solver import L0PenaltyConfig, solve_l0_penalized
@@ -55,8 +56,10 @@ def test_pinned_solution(case, objective, l0, dc_iters):
     assert sol.dc_iters == dc_iters
 
 
-#: argv placeholder for a mesh file the test writes first
+#: argv placeholders for a mesh file and a zero start field (n=16) the test
+#: writes first
 MESH_FILE = "jittered-12-seed-7.txt"
+ZERO_FIELD = "zero-16.txt"
 
 # exact summary-CSV and iteration-CSV text of small CLI runs; sparsa and
 # sweep have no iteration CSV
@@ -91,7 +94,8 @@ k,K_k,objective,gap,newton_iters,ssn_residual
 """),
     # the zero-atom completion from a zero start
     "poisson_zero_start_plus": (
-        ["poisson", "--n", "16", "--u0", "zero", "--zero-sign", "plus"], """\
+        ["poisson", "--n", "16", "--u0-file", ZERO_FIELD,
+         "--zero-sign", "plus"], """\
 n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode
 16,0.25,1000000000,-0.000934889088539,0.16796875,4.33680868994e-19,2,2,exact
 """, """\
@@ -162,9 +166,11 @@ k,K_k,objective,gap,newton_iters,ssn_residual
 def test_pinned_cli_text(name, tmp_path):
     argv, summary, iterations = CLI_PINNED[name]
     if MESH_FILE in argv:
-        mesh_path = tmp_path / MESH_FILE
-        export_mesh(jittered_mesh(12, seed=7), mesh_path)
-        argv = [str(mesh_path) if a == MESH_FILE else a for a in argv]
+        export_mesh(jittered_mesh(12, seed=7), tmp_path / MESH_FILE)
+    if ZERO_FIELD in argv:
+        write_field(tmp_path / ZERO_FIELD, np.zeros(17 * 17))
+    argv = [str(tmp_path / a) if a in (MESH_FILE, ZERO_FIELD) else a
+            for a in argv]
     out, iters = tmp_path / "run.csv", tmp_path / "iters.csv"
     extra = [] if iterations is None else ["--iters-csv", str(iters)]
     assert main(argv + ["--csv", str(out), *extra]) == 0

@@ -11,7 +11,7 @@ from dcl0.measures import (DiscreteMeasureSpace, largest_k_auto, weighted_l0,
                            weighted_l1)
 from dcl0.problems import default_load, poisson_prototype
 from dcl0.solver import (L0PenaltyConfig, optimality_report, penalty_sweep,
-                         solve_l0_penalized, support_metrics)
+                         solve_l0_penalized, start_point, support_metrics)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,16 @@ class TestConfigValidation:
                     L0PenaltyConfig(K=0.25, u0=np.zeros(3))):
             with pytest.raises(ValueError):
                 solve_l0_penalized(problem, system, bad)
+
+    def test_start_off_the_boundary_condition(self, setup16):
+        problem, system = setup16
+        u0 = np.zeros(system.mesh.num_nodes)
+        u0[system.mesh.boundary_nodes[-1]] = 1.0
+        with pytest.raises(ValueError, match="vanish on the Dirichlet"):
+            solve_l0_penalized(problem, system, L0PenaltyConfig(K=0.25, u0=u0))
+        # the start is a copy: the iteration cannot write into the caller's
+        u0[:] = 0.0
+        assert start_point(problem, u0) is not u0
 
 
 class TestPrototypeSolve:

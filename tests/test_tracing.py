@@ -67,3 +67,12 @@ def test_benchmark_checks_pass(build, monkeypatch):
     sol = solve_l0_penalized(problem, problem.system,
                              L0PenaltyConfig(K=ops.K, rho=ops.RHO))
     assert ops.check_solution(sol, problem.system, ops.K, converged) == []
+
+
+def test_benchmark_commands_parse(tmp_path):
+    # argparse exits on an option the CLI no longer has
+    ops = load("ops")
+    parser = cli.build_parser()
+    for name in ops.WORKLOADS:
+        argv = ops.command(name, tmp_path)
+        assert parser.parse_args(argv).command == argv[0], name
