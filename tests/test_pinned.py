@@ -1,7 +1,17 @@
 """Pinned local minima: a speed-up must not change the answer the DC
-iteration reaches.  The expected values were recorded with COLAMD-ordered
-SuperLU factorizations and the loop-based mesh and greedy-scan code; they
-must hold to 1e-10 relative."""
+iteration reaches.
+
+``PINNED`` must hold to 1e-10 relative.  Its values were recorded with the
+code that preceded ``dcl0.ssn.factor_spd``: COLAMD-ordered SuperLU
+factorizations and the loop-based mesh and greedy-scan code.
+
+``CLI_PINNED`` must hold byte for byte.  Its texts were recorded with
+``factor_spd`` (symmetric-mode ``MMD_AT_PLUS_A`` ordering) at scipy's
+default SuperLU panel width of 20 columns, except the iteration texts of
+``poisson_schedule``, ``poisson_sign_of_load_schedule`` and
+``poisson_mesh_file_schedule``, re-recorded at ``ssn.PANEL_SIZE = 1``: the
+narrower panels moved only their ``ssn_residual`` cells and rounding-level
+``gap`` cells (with the ``objective`` cells that carry rho * gap)."""
 
 import numpy as np
 import pytest
@@ -77,18 +87,18 @@ n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
 16,0.25,1000000000,-0.0168219145974,0.248046875,1.04083408559e-17,14,13,exact,0.9,14
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
-0,0.9,-0.0320256836259,0,1,1.15706768775e-16
-1,0.81,-0.0312158281987,0,1,1.11074845776e-16
-2,0.729,-0.0290112986835,6.93889390391e-18,1,1.03034950324e-16
-3,0.6561,-0.0273618414674,6.93889390391e-18,1,8.9579904028e-17
-4,0.59049,-0.0258276715108,0,1,1.03361377927e-16
-5,0.531441,-0.024706955126,6.93889390391e-18,1,9.47500896868e-17
-6,0.4782969,-0.0235899229048,3.46944695195e-18,1,1.06301364877e-16
-7,0.43046721,-0.0230346932436,-3.46944695195e-18,1,1.07336672166e-16
-8,0.387420489,-0.0225832403105,0,1,9.25936585148e-17
-9,0.3486784401,-0.0215829105576,-3.46944695195e-18,1,7.09687967723e-17
-10,0.31381059609,-0.0210439518927,-6.93889390391e-18,1,7.79637109736e-17
-11,0.282429536481,-0.0185544491025,-3.46944695195e-18,1,8.13403125376e-17
+0,0.9,-0.0320256836259,0,1,1.10999953102e-16
+1,0.81,-0.0312158281987,0,1,1.26097548594e-16
+2,0.729,-0.0290112986835,6.93889390391e-18,1,1.04300389872e-16
+3,0.6561,-0.0273618414674,6.93889390391e-18,1,8.36294550913e-17
+4,0.59049,-0.0258276645719,6.93889390391e-18,1,8.82810911568e-17
+5,0.531441,-0.024706955126,6.93889390391e-18,1,8.72690485777e-17
+6,0.4782969,-0.0235899229048,3.46944695195e-18,1,8.52411855904e-17
+7,0.43046721,-0.0230346932436,-3.46944695195e-18,1,8.68152844796e-17
+8,0.387420489,-0.0225832403105,0,1,8.49228646547e-17
+9,0.3486784401,-0.0215829105576,-3.46944695195e-18,1,7.17908871048e-17
+10,0.31381059609,-0.0210439518927,-6.93889390391e-18,1,7.01196386975e-17
+11,0.282429536481,-0.0185544491025,-3.46944695195e-18,1,8.22234223901e-17
 12,0.254186582833,-0.0168219041891,1.04083408559e-17,1,5.77333330204e-17
 13,0.25,-0.0168219041891,1.04083408559e-17,0,5.77333330204e-17
 """),
@@ -110,14 +120,14 @@ n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
 16,0.25,1000000000,-0.0166544117241,0.248046875,1.04083408559e-17,8,7,exact,0.8,7
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
-0,0.8,-0.0290596148174,1.38777878078e-17,1,1.08220309358e-16
-1,0.64,-0.0244742065716,0,1,8.57514134669e-17
-2,0.512,-0.0211645483709,0,1,9.20517654258e-17
-3,0.4096,-0.0190247148413,0,1,7.8609966178e-17
+0,0.8,-0.0290596148174,1.38777878078e-17,1,1.08122941594e-16
+1,0.64,-0.0244742065716,0,1,8.25144099486e-17
+2,0.512,-0.0211645518404,-3.46944695195e-18,1,7.92640032188e-17
+3,0.4096,-0.0190247148413,0,1,7.22257697107e-17
 4,0.32768,-0.0183333222848,-3.46944695195e-18,1,7.12399209012e-17
 5,0.262144,-0.0171692564882,3.46944695195e-18,1,5.95265501362e-17
-6,0.25,-0.0166544013157,1.04083408559e-17,1,6.20451685437e-17
-7,0.25,-0.0166544013157,1.04083408559e-17,0,6.20451685437e-17
+6,0.25,-0.0166544013157,1.04083408559e-17,1,6.34123889732e-17
+7,0.25,-0.0166544013157,1.04083408559e-17,0,6.34123889732e-17
 """),
     "control": (["control", "--n", "8"], """\
 n,K,rho,alpha,beta,f,l0,gap,tracking_error,dc_iters,ssn_iters,selection_mode
@@ -144,20 +154,20 @@ n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
 ,0.25,1000000000,-0.0156501047746,0.249518728356,-3.46944695195e-18,14,17,greedy,0.9,14
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
-0,0.9,-0.0303976412577,-6.93889390391e-18,2,1.37167301277e-16
-1,0.81,-0.0295835685539,0,2,1.05200466984e-16
-2,0.729,-0.02729348618,6.93889390391e-18,2,1.13336834385e-16
-3,0.6561,-0.0251916551483,0,1,7.41835180671e-17
-4,0.59049,-0.0243060245373,6.93889390391e-18,2,1.07804376109e-16
-5,0.531441,-0.0224760868742,6.93889390391e-18,1,8.30178920393e-17
-6,0.4782969,-0.0216342254636,3.46944695195e-18,1,9.41596972788e-17
-7,0.43046721,-0.0209614435942,6.93889390391e-18,1,9.31152314698e-17
-8,0.387420489,-0.0206646535476,6.93889390391e-18,1,9.2596705311e-17
-9,0.3486784401,-0.0203634070509,1.04083408559e-17,1,9.24666194372e-17
+0,0.9,-0.0303976412577,-6.93889390391e-18,2,1.10311910144e-16
+1,0.81,-0.0295835754928,-6.93889390391e-18,2,1.22469358124e-16
+2,0.729,-0.02729348618,6.93889390391e-18,2,1.16966070002e-16
+3,0.6561,-0.0251916551483,0,1,6.23716924926e-17
+4,0.59049,-0.0243060314762,0,2,1.0432887161e-16
+5,0.531441,-0.0224760938131,0,1,1.19384395567e-16
+6,0.4782969,-0.0216342254636,3.46944695195e-18,1,1.17798453778e-16
+7,0.43046721,-0.0209614435942,6.93889390391e-18,1,1.16965266009e-16
+8,0.387420489,-0.0206646570171,3.46944695195e-18,1,1.16552893381e-16
+9,0.3486784401,-0.0203634105203,6.93889390391e-18,1,1.16449572052e-16
 10,0.31381059609,-0.0191441046032,0,1,6.92369843523e-17
-11,0.282429536481,-0.01760774703,6.93889390391e-18,1,7.12293597981e-17
-12,0.254186582833,-0.015650108244,-3.46944695195e-18,1,8.00232282846e-17
-13,0.25,-0.015650108244,-3.46944695195e-18,0,8.00232282846e-17
+11,0.282429536481,-0.0176077504994,3.46944695195e-18,1,6.94322935819e-17
+12,0.254186582833,-0.015650108244,-3.46944695195e-18,1,6.78984153304e-17
+13,0.25,-0.015650108244,-3.46944695195e-18,0,6.78984153304e-17
 """),
 }
 

@@ -49,3 +49,42 @@ def test_the_check_sees_unread_parameters():
     assert unread_parameters(tree) == [("f", 1, "b"), ("f", 1, "d"),
                                        ("f", 1, "args"), ("f", 1, "kw"),
                                        ("<lambda>", 3, "y")]
+
+
+def splu_calls(tree):
+    """``(enclosing function, line)`` for every call of a function named
+    ``splu``, plain or as an attribute; ``"<module>"`` at module level."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name == "splu":
+                found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_factorization_setup():
+    calls = [(path.name, owner) for path in sorted(SOURCE.glob("*.py"))
+             for owner, _ in splu_calls(ast.parse(path.read_text()))]
+    assert calls == [("ssn.py", "factor_spd")]
+
+
+def test_the_check_sees_splu_calls():
+    tree = ast.parse("import scipy.sparse.linalg as spla\n"
+                     "from scipy.sparse.linalg import splu\n"
+                     "lu = splu(a)\n"
+                     "class C:\n"
+                     "    def m(self, a):\n"
+                     "        return spla.splu(a, panel_size=1)\n"
+                     "def f(a):\n"
+                     "    return a.splu_like(a)\n")
+    assert splu_calls(tree) == [("<module>", 3), ("m", 6)]

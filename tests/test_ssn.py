@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import jittered_mesh, random_spd, random_spd_operator
 from dcl0 import ssn
@@ -44,6 +45,22 @@ class TestQuadraticOperator:
         rhs = rng.standard_normal(active.size)
         x = H.solve_principal(active, rhs)
         sub = A[active][:, active]
+        assert np.linalg.norm(sub @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_narrow_panels_keep_ordering_and_fill(self):
+        assert 1 <= ssn.PANEL_SIZE <= 20
+        A = assemble(jittered_mesh(24, seed=7)).A
+        rng = np.random.default_rng(17)
+        active = np.flatnonzero(rng.random(A.shape[0]) < 0.7)
+        sub = A[active][:, active].tocsc()
+        lu = ssn.factor_spd(sub)
+        default = spla.splu(sub, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_c, default.perm_c)
+        assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+        rhs = rng.standard_normal(active.size)
+        x = QuadraticOperator.from_matrix(A).solve_principal(active, rhs)
         assert np.linalg.norm(sub @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_singular_principal_system_raises(self):
