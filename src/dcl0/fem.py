@@ -264,22 +264,61 @@ class _GridLaplacianSolver:
         return lambda rhs: self._transform(scale, rhs)
 
 
+#: rows of ``A`` whose stencil :func:`_is_grid_laplacian` checks per pass;
+#: it bounds that check's temporaries to a few hundred kB
+_STENCIL_ROWS = 1 << 12
+
+
+def _is_grid_laplacian(A, m):
+    """Whether the CSR matrix ``A`` of order ``n = m^2`` equals the 5-point
+    Laplacian ``T (+) T``, ``T = tridiag(-1, 2, -1)`` of order ``m``, to
+    within :data:`GRID_TOL` per entry.
+
+    The stencil is read off the CSR arrays a block of rows at a time: row
+    ``r`` holds 4 at column ``r``, -1 at ``r +- m`` and -1 at ``r +- 1``
+    within its grid row.  Every stored entry must lie within the tolerance
+    of that value (0 off the stencil), and every stencil entry must be
+    stored.
+    """
+    n = m * m
+    if not A.has_canonical_format:
+        # one stored entry per position, so that counting entries below
+        # counts stencil positions
+        A = A.copy()
+        A.sum_duplicates()
+    on_stencil = 0
+    for start in range(0, n, _STENCIL_ROWS):
+        stop = min(start + _STENCIL_ROWS, n)
+        lo, hi = A.indptr[start], A.indptr[stop]
+        rows = np.repeat(np.arange(start, stop),
+                         np.diff(A.indptr[start:stop + 1]))
+        step = A.indices[lo:hi] - rows
+        col = rows % m
+        neighbour = ((np.abs(step) == m) | ((step == 1) & (col != m - 1))
+                     | ((step == -1) & (col != 0)))
+        stencil = np.where(neighbour, -1.0, np.where(step == 0, 4.0, 0.0))
+        if not np.all(np.abs(A.data[lo:hi] - stencil) <= GRID_TOL):
+            return False
+        on_stencil += np.count_nonzero(stencil)
+    # n diagonal and 4 m (m - 1) neighbour entries
+    return on_stencil == 5 * n - 4 * m
+
+
 def _grid_laplacian_solver(A):
     """:class:`_GridLaplacianSolver` for ``A`` when ``A`` equals the 5-point
     Laplacian of a square grid to within :data:`GRID_TOL` per entry (the
     free-dof stiffness of :func:`build_structured_mesh`), otherwise None.
     A mesh without interior nodes has a 0 x 0 stiffness and no grid.
 
-    The size and the diagonal are checked before the whole stencil is.
+    The size and the diagonal are checked before the whole stencil is, by
+    :func:`_is_grid_laplacian` without a copy of ``A``.
     """
+    A = sp.csr_matrix(A)
     n = A.shape[0]
     m = math.isqrt(n)
     if (n == 0 or m * m != n
-            or not np.all(np.abs(A.diagonal() - 4.0) <= GRID_TOL)):
-        return None
-    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
-    diff = sp.csr_matrix(A - sp.kronsum(T, T, format="csr"))
-    if not np.all(np.abs(diff.data) <= GRID_TOL):
+            or not np.all(np.abs(A.diagonal() - 4.0) <= GRID_TOL)
+            or not _is_grid_laplacian(A, m)):
         return None
     return _GridLaplacianSolver(m)
 
@@ -289,18 +328,19 @@ class FemSystem:
     """Assembled P1 system with Dirichlet degrees of freedom eliminated.
 
     ``A``/``M``/``b`` act on the free (interior) degrees of freedom and no
-    all-node matrix is kept.  ``incidence`` is the element-by-node 0/1
-    matrix, ``elem_measure`` the triangle areas, ``patch_measure`` per node
-    the total area of its incident triangles, and ``basis_integral`` the
-    integral of each nodal basis function (one third of the patch measure
-    for triangles).
+    all-node matrix is kept; ``A`` and ``M`` share one ``indices``/``indptr``
+    pair.  ``elem_nodes`` holds the three node indices of each element in
+    ascending order (int32), ``elem_measure`` the triangle areas,
+    ``patch_measure`` per node the total area of its incident triangles,
+    and ``basis_integral`` the integral of each nodal basis function (one
+    third of the patch measure for triangles).
     """
 
     mesh: TriMesh
     A: sp.csr_matrix
     M: sp.csr_matrix
     b: np.ndarray
-    incidence: sp.csr_matrix
+    elem_nodes: np.ndarray
     elem_measure: np.ndarray
     patch_measure: np.ndarray
     basis_integral: np.ndarray
@@ -329,6 +369,12 @@ class FemSystem:
         out[self.free_nodes] = v_free
         return out
 
+    def node_sums(self, elem_values):
+        """Per node, the sum of ``elem_values`` over its incident elements,
+        added in element order (the product ``incidence' x`` with the 0/1
+        element-by-node incidence matrix)."""
+        return _node_sums(self.elem_nodes, elem_values, self.mesh.num_nodes)
+
     def grid_solver(self):
         """Sine-transform solver of ``A x = rhs`` when ``A`` is the 5-point
         Laplacian of a square grid, else None; detected on the first call."""
@@ -344,114 +390,165 @@ class FemSystem:
         if grid is not None:
             return grid(rhs)
         if self._stiffness_lu is None:
-            self._stiffness_lu = factor_spd(self.A.tocsc())
+            # A is exactly symmetric: its CSC view A.T is A
+            self._stiffness_lu = factor_spd(self.A.T)
         return self._stiffness_lu.solve(rhs)
 
 
-#: slots filled per pass when laying out the element blocks by node; it
-#: bounds that loop's temporaries to a few MB whatever the mesh size
-_CHUNK = 1 << 16
+#: triangles, or block rows, handled per pass of the assembly loops; it
+#: bounds their temporaries to about 2 MB whatever the mesh size (at
+#: 2^16 they lifted the assembly's peak RSS by 17 MB at n = 384)
+_CHUNK = 1 << 13
 
 
-def _assemble_nodes(mesh: TriMesh, g=None):
-    """Stiffness and mass of every node, boundary included, as one complex
-    matrix ``A + iM``, and the load of every node: ``(K_full, b_full)``.
+def _assemble_nodes(mesh: TriMesh, g=None, keep=None):
+    """Stiffness and mass on the nodes ``keep`` (ascending; every node,
+    boundary included, when None) and the load of every node:
+    ``(A, M, b_full)``, where ``A`` and ``M`` share one index pair.
 
     Stiffness and mass use the exact P1 element integrals; the load uses the
     three-point edge-midpoint rule (exact for quadratic integrands).
 
     The element blocks form one list, triangle by triangle and each 3x3
-    block row by row.  Row ``r`` of ``K_full`` holds, before duplicates are
-    summed, the block rows of node ``r`` in list order: the layout scipy's
-    COO -> CSR conversion gives that list.  Scipy's duplicate summation
-    therefore adds every entry's terms in the order a conversion of the list
-    would, and complex addition is per component, so ``A`` and ``M`` are
-    bit for bit what two separate conversions give.
+    block row by row.  Row ``r`` of the all-node matrix holds, before
+    duplicates are summed, the block rows of node ``r`` in list order: the
+    layout scipy's COO -> CSR conversion gives that list.  Stiffness and
+    mass go through one duplicate summation as the complex matrix ``A + iM``,
+    a chunk of rows at a time; scipy sorts and sums each row on its own, so
+    every entry's terms are added in the order a conversion of the whole
+    list would, and complex addition is per component.  Rows and columns
+    outside ``keep`` are dropped once summed.  So ``A`` and ``M`` are bit
+    for bit the ``keep`` block of two separate conversions.
+
+    Both loops fill preallocated arrays: the first, over triangles, adds
+    the load in triangle order and stores the gradients; the second, over
+    rows, computes each block row's stiffness from the gradients.  The
+    output arrays are sized for every block entry, ``9 m``; only the
+    summed entries are written (pages never written take no memory), and
+    that head is copied out at the end.
     """
     nodes, tris, areas = mesh.nodes, mesh.triangles, mesh.areas
     num_nodes, m = mesh.num_nodes, mesh.num_triangles
-    x, y = nodes[:, 0][tris.T], nodes[:, 1][tris.T]   # (3, m): vertex i
-
-    b_full = np.zeros(num_nodes)
-    if g is not None:
-        g01, g12, g20 = (
-            np.asarray(g(0.5 * (x[i] + x[j]), 0.5 * (y[i] + y[j])), dtype=float)
-            for i, j in ((0, 1), (1, 2), (2, 0)))
-        scale = areas / 6.0
-        b_loc = np.stack([(g01 + g20) * scale, (g01 + g12) * scale,
-                          (g12 + g20) * scale], axis=1)
-        np.add.at(b_full, tris.ravel(), b_loc.ravel())
-        del g01, g12, g20, b_loc
 
     # 2 area times the gradient of barycentric basis i is the opposite edge
     # p_{i+2} - p_{i+1} turned by a quarter, rot(x, y) = (-y, x)
-    gx = (y[[1, 2, 0]] - y[[2, 0, 1]]) / (2.0 * areas)
-    gy = (x[[2, 0, 1]] - x[[1, 2, 0]]) / (2.0 * areas)
-    del x, y
-    stiff = np.empty((m, 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            stiff[:, i, j] = stiff[:, j, i] = (gx[i] * gx[j]
-                                               + gy[i] * gy[j]) * areas
-    del gx, gy
+    gx, gy = np.empty((3, m)), np.empty((3, m))
+    b_full = np.zeros(num_nodes)
+    for start in range(0, m, _CHUNK):
+        t = slice(start, start + _CHUNK)
+        x, y = nodes[:, 0][tris[t].T], nodes[:, 1][tris[t].T]  # vertex i
+        if g is not None:
+            g01, g12, g20 = (
+                np.asarray(g(0.5 * (x[i] + x[j]), 0.5 * (y[i] + y[j])),
+                           dtype=float)
+                for i, j in ((0, 1), (1, 2), (2, 0)))
+            scale = areas[t] / 6.0
+            b_loc = np.stack([(g01 + g20) * scale, (g01 + g12) * scale,
+                              (g12 + g20) * scale], axis=1)
+            # unbuffered: each node's terms are added in triangle order
+            np.add.at(b_full, tris[t].ravel(), b_loc.ravel())
+        gx[:, t] = (y[[1, 2, 0]] - y[[2, 0, 1]]) / (2.0 * areas[t])
+        gy[:, t] = (x[[2, 0, 1]] - x[[1, 2, 0]]) / (2.0 * areas[t])
+
+    # new index of every node, -1 for a dropped one
+    keep = np.arange(num_nodes) if keep is None else keep
+    num_kept = len(keep)
+    position = np.full(num_nodes, -1, dtype=np.int32)
+    position[keep] = np.arange(num_kept, dtype=np.int32)
 
     # slot 3 t + i is vertex i of triangle t and block row i of triangle t;
     # sorting the slots by node, stably, lists each node's block rows in
-    # list order
+    # list order: those of node r are slots[first[r]:first[r + 1]]
     slots = np.argsort(tris.ravel(), kind="stable")
-    indptr = np.zeros(num_nodes + 1, dtype=np.int32)
-    np.cumsum(3 * np.bincount(tris.ravel(), minlength=num_nodes),
-              out=indptr[1:])
-    indices = np.empty((3 * m, 3), dtype=np.int32)
-    data = np.empty((3 * m, 3), dtype=complex)
-    stiff_rows, mass = stiff.reshape(3 * m, 3), areas / 12.0
-    for start in range(0, 3 * m, _CHUNK):
-        s = slots[start:start + _CHUNK]
+    first = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tris.ravel(), minlength=num_nodes), out=first[1:])
+    mass = areas / 12.0
+    a_data, m_data = np.empty(9 * m), np.empty(9 * m)
+    indices = np.empty(9 * m, dtype=np.int32)
+    indptr = np.zeros(num_kept + 1, dtype=np.int32)
+    nnz, r0 = 0, 0
+    while r0 < num_nodes:
+        # whole rows, about _CHUNK block rows
+        r1 = max(int(np.searchsorted(first, first[r0] + _CHUNK, "right")) - 1,
+                 r0 + 1)
+        s = slots[first[r0]:first[r1]]
         t = s // 3
-        rows = data[start:start + s.size]
-        indices[start:start + s.size] = tris[t]
-        rows.real = stiff_rows[s]
-        rows.imag = mass[t][:, None]
-        rows.imag[np.arange(s.size), s - 3 * t] *= 2.0
-    del stiff, stiff_rows, slots
-    K_full = sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                           shape=(num_nodes, num_nodes))
-    del data, indices
-    K_full.sum_duplicates()
-    return K_full, b_full
+        i = s - 3 * t
+        block = np.empty((s.size, 3), dtype=complex)
+        gxi, gyi, area = gx[i, t], gy[i, t], areas[t]
+        for j in range(3):
+            # the product order of the element block (i, j), which is
+            # symmetric bit for bit
+            block.real[:, j] = (gxi * gx[j, t] + gyi * gy[j, t]) * area
+        block.imag = mass[t][:, None]
+        block.imag[np.arange(s.size), i] *= 2.0
+        rows = sp.csr_matrix(
+            (block.ravel(), tris[t].ravel(), 3 * (first[r0:r1 + 1] - first[r0])),
+            shape=(r1 - r0, num_nodes))
+        # sort every row, as the conversion of the whole list does: the
+        # sort is not stable, so it may reorder even an ordered row among
+        # equal columns, and with it the order of their summation
+        rows.has_sorted_indices = False
+        rows.sum_duplicates()
+
+        row_of = np.repeat(position[r0:r1], np.diff(rows.indptr))
+        col = position[rows.indices]
+        kept = (row_of >= 0) & (col >= 0)
+        end = nnz + np.count_nonzero(kept)
+        a_data[nnz:end] = rows.data.real[kept]
+        m_data[nnz:end] = rows.data.imag[kept]
+        indices[nnz:end] = col[kept]
+        kept_rows = position[r0:r1][position[r0:r1] >= 0]
+        if kept_rows.size:
+            counts = np.bincount(row_of[kept] - kept_rows[0],
+                                 minlength=kept_rows.size)
+            indptr[kept_rows + 1] = nnz + np.cumsum(counts)
+        nnz, r0 = end, r1
+    del gx, gy, slots
+
+    shape = (num_kept, num_kept)
+    indices = indices[:nnz].copy()
+    A = sp.csr_matrix((a_data[:nnz].copy(), indices, indptr), shape=shape)
+    M = sp.csr_matrix((m_data[:nnz].copy(), indices, indptr), shape=shape)
+    # one index pair for both; the constructor keeps each as its own view
+    M.indices, M.indptr = A.indices, A.indptr
+    return A, M, b_full
+
+
+def _node_sums(elem_nodes, elem_values, num_nodes):
+    """``incidence' x`` for the element-by-node 0/1 incidence of
+    ``elem_nodes``: bincount adds each node's terms in element order, as the
+    sparse product does."""
+    return np.bincount(elem_nodes.ravel(), weights=np.repeat(elem_values, 3),
+                       minlength=num_nodes)
 
 
 def assemble(mesh: TriMesh, g=None) -> FemSystem:
     """Assemble stiffness, mass and load for ``-laplace u = g`` with
     homogeneous Dirichlet data (see :func:`_assemble_nodes`) and eliminate
     the boundary nodes."""
-    tris, num_nodes, m = mesh.triangles, mesh.num_nodes, mesh.num_triangles
+    num_nodes = mesh.num_nodes
     on_boundary = np.zeros(num_nodes, dtype=bool)
     on_boundary[mesh.boundary_nodes] = True
     free = np.flatnonzero(~on_boundary)
-    K_full, b_full = _assemble_nodes(mesh, g)
-    K = K_full[free][:, free]
-    del K_full
-    A, M = (sp.csr_matrix((part.copy(), K.indices.copy(), K.indptr.copy()),
-                          shape=K.shape)
-            for part in (K.data.real, K.data.imag))
-    del K
-
-    # each row holds the three sorted node indices of one triangle
-    incidence = sp.csr_matrix(
-        (np.ones(3 * m), np.sort(tris, axis=1).astype(np.int32).ravel(),
-         np.arange(0, 3 * m + 1, 3, dtype=np.int32)), shape=(m, num_nodes))
-    patch_measure = incidence.T @ mesh.areas
+    A, M, b_full = _assemble_nodes(mesh, g, keep=free)
+    elem_nodes = np.sort(mesh.triangles, axis=1).astype(np.int32)
+    patch_measure = _node_sums(elem_nodes, mesh.areas, num_nodes)
     basis_integral = patch_measure / 3.0
     return FemSystem(mesh=mesh, A=A, M=M, b=b_full[free],
-                     incidence=incidence, elem_measure=mesh.areas,
+                     elem_nodes=elem_nodes, elem_measure=mesh.areas,
                      patch_measure=patch_measure, basis_integral=basis_integral,
                      free_nodes=free)
 
 
 def w_of(u, system: FemSystem):
-    """Per-element sum of the absolute nodal values, ``incidence @ |u|``."""
+    """Per-element sum of the absolute nodal values, the three of each
+    element added in ascending node order: ``incidence @ |u|`` bit for bit."""
     u = np.asarray(u, dtype=float)
     if u.size != system.mesh.num_nodes:
         raise ValueError("expected a full-length nodal vector")
-    return system.incidence @ np.abs(u)
+    a, nodes = np.abs(u), system.elem_nodes
+    w = np.take(a, nodes[:, 0])
+    w += np.take(a, nodes[:, 1])
+    w += np.take(a, nodes[:, 2])
+    return w

@@ -24,6 +24,7 @@ __all__ = [
     "OracleLimitError",
     "weighted_l0",
     "weighted_l1",
+    "greedy_order",
     "largest_k_greedy",
     "complete_selection",
     "largest_k_exact",
@@ -155,18 +156,29 @@ def _first_fit(order, lam, slack):
     return np.concatenate([order[:head], order[extra]])
 
 
-def largest_k_greedy(x, space: DiscreteMeasureSpace, budget) -> KSelection:
+def greedy_order(x):
+    """The atoms :func:`largest_k_greedy` visits, in its order: those with
+    ``|x_i|`` above :data:`ZERO_THRESHOLD`, by decreasing ``|x_i|``, ties by
+    ascending index."""
+    return _by_magnitude(np.abs(np.asarray(x, dtype=float)), ZERO_THRESHOLD)
+
+
+def largest_k_greedy(x, space: DiscreteMeasureSpace, budget,
+                     order=None) -> KSelection:
     """Greedy knapsack scan for the largest-K maximum.
 
     Atoms are visited by decreasing ``|x_i|`` (ties by ascending index) and
     taken whenever their measure still fits the remaining budget.  Atoms
     with ``|x_i|`` at or below :data:`ZERO_THRESHOLD` are never taken.  The
-    result is feasible but may undershoot the exact maximum.
+    result is feasible but may undershoot the exact maximum.  ``order``,
+    when given, must be :func:`greedy_order` of ``x``: scans of one ``x``
+    at several budgets can share one sort.
     """
     x = _check_dims(x, space)
     budget = _check_budget(budget, space)
     absx = np.abs(x)
-    order = _by_magnitude(absx, ZERO_THRESHOLD)
+    if order is None:
+        order = _by_magnitude(absx, ZERO_THRESHOLD)
     slack = budget + BUDGET_RTOL * space.total_measure()
     return _selection(_first_fit(order, space.weights, slack), absx,
                       space.weights, exact=False)

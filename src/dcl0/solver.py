@@ -19,8 +19,9 @@ import numpy as np
 from . import dc
 from .fem import FemSystem, w_of
 from .measures import (BUDGET_RTOL, DiscreteMeasureSpace, KSelection,
-                       complete_selection, largest_k_auto, largest_k_greedy,
-                       subgradient_largest_k, weighted_l0, weighted_l1)
+                       complete_selection, greedy_order, largest_k_auto,
+                       largest_k_greedy, subgradient_largest_k, weighted_l0,
+                       weighted_l1)
 from .problems import ProblemDef
 from .ssn import SSN_TOL, L1Weights, SsnError, ssn_solve
 
@@ -163,16 +164,19 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
 
     rows, ssn_results = [], []
     # the objective at the iterate of sweep k and the subgradient that
-    # sweep k + 1 takes there share its element sums, and its selection
-    # unless the schedule moves the budget between them
-    last = {"u": None, "w": None, "budget": None, "sel": None}
+    # sweep k + 1 takes there share its element sums and their greedy
+    # order, and its selection unless the schedule moves the budget between
+    # them
+    last = {"u": None, "w": None, "order": None, "budget": None, "sel": None}
 
     def selection_at(u_full, budget):
         if last["u"] is not u_full:
-            last.update(u=u_full, w=w_of(u_full, system), budget=None)
+            w = w_of(u_full, system)
+            last.update(u=u_full, w=w, order=greedy_order(w), budget=None)
         if last["budget"] != budget:
             last.update(budget=budget,
-                        sel=largest_k_greedy(last["w"], elems, budget))
+                        sel=largest_k_greedy(last["w"], elems, budget,
+                                             order=last["order"]))
         return last["w"], last["sel"]
 
     def h_subgrad(u_full, k):
@@ -184,7 +188,7 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
         r = subgradient_largest_k(
             w, elems, complete_selection(sel, w, elems, budget))
         a = np.where(u_full == 0.0, zero_sign, np.sign(u_full))
-        return cfg.rho * ((system.incidence.T @ r) * a)
+        return cfg.rho * (system.node_sums(r) * a)
 
     def g_solve(s_full, warm_full):
         warm = system.restrict(warm_full)
@@ -194,7 +198,8 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
             # dc_solve reports this as a DcError of the current sweep
             raise SsnError(f"semismooth Newton stopped after {res.iters} "
                            f"steps at residual {res.residual:.3e} "
-                           f"(tol {SSN_TOL:g})")
+                           f"(tol {SSN_TOL:g}, scaled to the data once "
+                           "the classification repeats)")
         ssn_results.append(res)
         return system.expand(res.u)
 
@@ -257,8 +262,8 @@ def optimality_report(u, problem: ProblemDef, system: FemSystem, rho,
 
     selected = np.zeros(system.elem_measure.size)
     selected[selection.indices] = 1.0
-    covered = (system.incidence.T @ selected)[free]
-    patch_count = (system.incidence.T @ np.ones_like(selected))[free]
+    covered = system.node_sums(selected)[free]
+    patch_count = system.node_sums(np.ones_like(selected))[free]
     u_free = u[free]
     supported = u_free != 0.0
     fully_in = covered == patch_count

@@ -35,6 +35,7 @@ __all__ = [
     "f_tau_residual",
     "default_tau",
     "ssn_solve",
+    "repeat_tolerance",
     "SsnResult",
     "prox_grad_oracle",
 ]
@@ -93,7 +94,9 @@ class QuadraticOperator:
     one the stiffness solves of ``dcl0.fem`` share, plus one step of
     iterative refinement) or a matrix-free action (principal systems fall
     back to conjugate gradients on the restricted action, warm-started and
-    optionally preconditioned).
+    optionally preconditioned).  An explicit matrix must be exactly
+    symmetric, as an assembled stiffness is: each principal block is
+    sliced once, as CSR, and factored through its CSC view ``sub.T``.
 
     ``full_solver``, if given, is called without arguments when every index
     is active and returns a solver ``rhs -> H^{-1} rhs`` of the whole system,
@@ -133,9 +136,10 @@ class QuadraticOperator:
             if solve is not None:
                 return solve(rhs)
         if self.explicit is not None:
-            sub = self.explicit[active][:, active].tocsc()
+            sub = self.explicit[active][:, active]
             try:
-                lu = factor_spd(sub)
+                # sub is exactly symmetric, so its CSC view sub.T is sub
+                lu = factor_spd(sub.T)
             except RuntimeError as exc:
                 raise SsnError(f"singular principal system: {exc}") from exc
             x = lu.solve(rhs)
@@ -241,12 +245,19 @@ class SsnResult:
     converged: bool
 
 
+def repeat_tolerance(q, c, tilt):
+    """Residual at which an iterate classified as its predecessor was counts
+    as converged: :data:`SSN_TOL` times the data scale ``max(1, |q|, |c|,
+    |tilt|)`` in the max norm, since the residual's own rounding grows with
+    the data; exactly ``SSN_TOL`` for data of scale at most 1."""
+    return SSN_TOL * max(float(np.max(np.abs(v), initial=1.0))
+                         for v in (q, c, tilt))
+
+
 def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
               tilt=None) -> SsnResult:
     """Semismooth Newton active-set iteration on ``F_tau(u) = 0``, with
-    :func:`default_tau` of the current iterate; it converges at residual
-    :data:`SSN_TOL` and gives up after :data:`MAX_NEWTON` steps, returning
-    the last iterate whose residual it evaluated.
+    :func:`default_tau` of the current iterate.
 
     Each step classifies components by the projection: where the projection
     is unclamped the component is fixed to zero, the clamped components keep
@@ -254,6 +265,14 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
     solved: the primal-dual active-set method read as semismooth Newton
     (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002).  There is no
     fallback; at ``u = 0`` neither the residual nor the step depends on tau.
+
+    It returns, with its residual, the first iterate that
+    - has residual at most :data:`SSN_TOL` (converged);
+    - is classified as its predecessor was, so that it already solves the
+      system the next step would solve again (the method's finite
+      termination): converged if its residual is at most
+      :func:`repeat_tolerance`, a failure otherwise;
+    - or follows :data:`MAX_NEWTON` steps (a failure).
     """
     q = np.asarray(q, dtype=float)
     c = weights.c
@@ -261,23 +280,28 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
     u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
     tilt = np.zeros(n) if tilt is None else np.asarray(tilt, dtype=float)
 
-    last, res = u, np.inf
-    for iters in range(MAX_NEWTON):
+    previous = None
+    for iters in range(MAX_NEWTON + 1):
         base_g = H.apply(u) - q
         F, inactive, shift = _residual_parts(u, base_g, tilt, c,
                                              default_tau(u, weights))
         res = float(np.linalg.norm(F))
-        if res <= SSN_TOL:
-            return SsnResult(u=u, residual=res, iters=iters, converged=True)
+        # the inactive set and the clamped values fix the Newton system
+        repeated = (previous is not None
+                    and np.array_equal(inactive, previous[0])
+                    and np.array_equal(shift, previous[1]))
+        if res <= SSN_TOL or repeated or iters == MAX_NEWTON:
+            tol = repeat_tolerance(q, c, tilt) if repeated else SSN_TOL
+            return SsnResult(u=u, residual=res, iters=iters,
+                             converged=res <= tol)
+        previous = inactive, shift
 
         active = np.flatnonzero(~inactive)
         u_new = np.zeros(n)
         if active.size:
             u_new[active] = H.solve_principal(
                 active, q[active] + shift[active], x0=u[active])
-        last, u = u, u_new
-
-    return SsnResult(u=last, residual=res, iters=MAX_NEWTON, converged=False)
+        u = u_new
 
 
 def _soft_threshold(v, thresh):

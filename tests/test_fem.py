@@ -8,10 +8,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import jittered_mesh
-from dcl0.fem import (MeshFormatError, _assemble_nodes, _boundary_nodes,
-                      _grid_laplacian_solver, _validate, assemble,
-                      build_structured_mesh, export_mesh, import_mesh,
-                      read_field, write_field, w_of)
+from dcl0 import fem
+from dcl0.fem import (GRID_TOL, MeshFormatError, _assemble_nodes,
+                      _boundary_nodes, _grid_laplacian_solver, _validate,
+                      assemble, build_structured_mesh, export_mesh,
+                      import_mesh, read_field, write_field, w_of)
 from dcl0.measures import DiscreteMeasureSpace, weighted_l0, weighted_l1
 from dcl0.problems import default_load, poisson_prototype
 from dcl0.ssn import factor_spd
@@ -255,22 +256,22 @@ class TestMeshIO:
 class TestAssembly:
     def test_zero_load(self):
         mesh = build_structured_mesh(4)
-        _, b_full = _assemble_nodes(mesh, g=None)
+        _, _, b_full = _assemble_nodes(mesh, g=None)
         assert np.array_equal(b_full, np.zeros(mesh.num_nodes))
 
     def test_constants_in_stiffness_kernel(self):
         mesh = build_structured_mesh(5)
-        A_full = _assemble_nodes(mesh)[0].real
+        A_full = _assemble_nodes(mesh)[0]
         ones = np.ones(mesh.num_nodes)
         assert np.max(np.abs(A_full @ ones)) <= 1e-12
 
     def test_free_block_of_node_matrices(self):
         # assemble keeps the free rows and columns of the node matrices
         mesh = jittered_mesh(6, seed=3)
-        K_full, b_full = _assemble_nodes(mesh, default_load)
+        A_full, M_full, b_full = _assemble_nodes(mesh, default_load)
         system = assemble(mesh, default_load)
         free = system.free_nodes
-        for full, block in ((K_full.real, system.A), (K_full.imag, system.M)):
+        for full, block in ((A_full, system.A), (M_full, system.M)):
             assert (full[free][:, free] != block).nnz == 0
         assert np.array_equal(b_full[free], system.b)
         assert np.array_equal(mesh.areas, system.elem_measure)
@@ -283,15 +284,20 @@ class TestAssembly:
             assert float(x @ (system.A @ x)) > 0.0
 
     def test_incidence_three_ones_per_row(self):
+        # elem_nodes holds the column indices of the 0/1 incidence matrix:
+        # three distinct nodes per element, ascending, those of its triangle
         system = assemble(build_structured_mesh(5))
-        counts = np.asarray(system.incidence.sum(axis=1)).ravel()
+        nodes = system.elem_nodes
+        assert nodes.dtype == np.int32 and nodes.shape == (50, 3)
+        assert np.all(np.diff(nodes, axis=1) > 0)
+        assert np.array_equal(nodes, np.sort(system.mesh.triangles, axis=1))
+        counts = np.asarray(incidence_of(system.mesh).sum(axis=1)).ravel()
         assert np.all(counts == 3)
-        assert set(np.unique(system.incidence.data)) == {1.0}
 
     def test_patch_measure_sums_incident_elements(self):
         system = assemble(build_structured_mesh(4))
-        expected = system.incidence.T @ system.elem_measure
-        assert np.allclose(system.patch_measure, expected, rtol=1e-14)
+        expected = incidence_of(system.mesh).T @ system.elem_measure
+        assert np.array_equal(system.patch_measure, expected)
 
     def test_basis_integral_third_of_patch(self):
         for n in (4, 8, 16):
@@ -302,7 +308,7 @@ class TestAssembly:
     def test_mass_row_sums(self):
         mesh = build_structured_mesh(5)
         system = assemble(mesh)
-        M_full = _assemble_nodes(mesh)[0].imag
+        M_full = _assemble_nodes(mesh)[1]
         row_sums = np.asarray(M_full.sum(axis=1)).ravel()
         assert np.allclose(row_sums, system.basis_integral, rtol=1e-13)
 
@@ -310,7 +316,7 @@ class TestAssembly:
         # per-element linear interpolants: fit the affine function through
         # the vertex values and integrate the gradient product analytically
         mesh = build_structured_mesh(4)
-        A_full = _assemble_nodes(mesh)[0].real
+        A_full = _assemble_nodes(mesh)[0]
         u = rng.standard_normal(mesh.num_nodes)
         v = rng.standard_normal(mesh.num_nodes)
         energy = 0.0
@@ -330,7 +336,7 @@ class TestAssembly:
         def g(x, y):
             return 3.0 * x + 2.0 * y - 1.0
 
-        _, b_full = _assemble_nodes(mesh, g)
+        _, _, b_full = _assemble_nodes(mesh, g)
         exact = np.zeros(mesh.num_nodes)
         for t, tri in enumerate(mesh.triangles):
             for local, j in enumerate(tri):
@@ -355,6 +361,16 @@ class TestAssembly:
         x = system.stiffness_solve(rhs)
         assert (np.linalg.norm(system.A @ x - rhs)
                 <= 1e-12 * np.linalg.norm(rhs))
+
+
+def incidence_of(mesh):
+    """The element-by-node 0/1 incidence matrix, converted to CSR from one
+    COO list: the reference for ``elem_nodes``, ``w_of`` and the node
+    sums."""
+    m = mesh.num_triangles
+    return sp.coo_matrix(
+        (np.ones(3 * m), (np.repeat(np.arange(m), 3), mesh.triangles.ravel())),
+        shape=(m, mesh.num_nodes)).tocsr()
 
 
 def reference_assemble(mesh, g=None):
@@ -388,9 +404,7 @@ def reference_assemble(mesh, g=None):
         b_loc = np.stack([(g01 + g20) * scale, (g01 + g12) * scale,
                           (g12 + g20) * scale], axis=1)
         np.add.at(b_full, tris.ravel(), b_loc.ravel())
-    incidence = sp.coo_matrix(
-        (np.ones(3 * m), (np.repeat(np.arange(m), 3), tris.ravel())),
-        shape=(m, num_nodes)).tocsr()
+    incidence = incidence_of(mesh)
     free = np.setdiff1d(np.arange(num_nodes), mesh.boundary_nodes)
     return {"A": A_full[free][:, free].tocsr(),
             "M": M_full[free][:, free].tocsr(), "b": b_full[free],
@@ -427,12 +441,47 @@ class TestAssemblyMatchesReference:
                 else jittered_mesh(n, seed=seed))
         ref = reference_assemble(mesh, g)
         system = assemble(mesh, g)
-        for name in ("A", "M", "incidence"):
+        for name in ("A", "M"):
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(getattr(system, name), part),
                                       getattr(ref[name], part)), (name, part)
+        # elem_nodes is the reference incidence's index array
+        assert np.array_equal(system.elem_nodes.ravel(),
+                              ref["incidence"].indices)
         for name in ("b", "elem_measure", "patch_measure"):
             assert np.array_equal(getattr(system, name), ref[name]), name
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_bit_identical_for_any_chunk(self, monkeypatch, chunk):
+        # chunks below one row's block rows (one whole row per pass), of
+        # a few rows and of many rows
+        monkeypatch.setattr(fem, "_CHUNK", chunk)
+        for mesh in (build_structured_mesh(7), jittered_mesh(6, seed=2)):
+            ref = reference_assemble(mesh, default_load)
+            system = assemble(mesh, default_load)
+            for name in ("A", "M"):
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(
+                        getattr(getattr(system, name), part),
+                        getattr(ref[name], part)), (name, part)
+            assert np.array_equal(system.b, ref["b"])
+
+    def test_all_node_matrices(self):
+        # without keep, the node matrices of every node
+        mesh = jittered_mesh(6, seed=1)
+        ref = reference_assemble(mesh, default_load)
+        A_full, M_full, b_full = _assemble_nodes(mesh, default_load)
+        free = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
+        for full, name in ((A_full, "A"), (M_full, "M")):
+            assert full.shape == (mesh.num_nodes, mesh.num_nodes)
+            assert (full[free][:, free] != ref[name]).nnz == 0
+        assert np.array_equal(b_full[free], ref["b"])
+
+    def test_stiffness_and_mass_share_one_pattern(self):
+        system = assemble(jittered_mesh(12, seed=4), default_load)
+        assert system.A.indices is system.M.indices
+        assert system.A.indptr is system.M.indptr
+        assert system.A.indices.dtype == np.int32
 
     def test_peak_memory_below_reference(self):
         # a deterministic guard: peak RSS depends on the allocator, the
@@ -440,6 +489,55 @@ class TestAssemblyMatchesReference:
         mesh = build_structured_mesh(128)
         assert (traced_peak(assemble, mesh, default_load)
                 <= 0.9 * traced_peak(reference_assemble, mesh, default_load))
+
+
+INCIDENCE_MESHES = (
+    [pytest.param(("grid", n, None), id=f"grid-{n}") for n in (2, 7, 64)]
+    + [pytest.param(("jitter", n, seed), id=f"jitter-{n}-seed{seed}")
+       for n in (24, 48) for seed in (0, 1, 2)])
+
+
+class TestIncidenceProducts:
+    """``w_of``, the node sums and ``patch_measure`` against the products
+    with the CSR incidence matrix they replace, bit for bit."""
+
+    @pytest.mark.parametrize("case", INCIDENCE_MESHES)
+    def test_match_incidence_products(self, case):
+        kind, n, seed = case
+        mesh = (build_structured_mesh(n) if kind == "grid"
+                else jittered_mesh(n, seed=seed))
+        system = assemble(mesh, default_load)
+        incidence = incidence_of(mesh)
+        rng = np.random.default_rng(0 if seed is None else seed)
+        u = system.expand(rng.standard_normal(system.num_free))
+        u[rng.random(u.size) < 0.3] = 0.0
+        assert np.array_equal(w_of(u, system), incidence @ np.abs(u))
+        for r in (rng.standard_normal(mesh.num_triangles),
+                  (rng.random(mesh.num_triangles) < 0.5).astype(float),
+                  np.ones(mesh.num_triangles)):
+            assert np.array_equal(system.node_sums(r), incidence.T @ r)
+        assert np.array_equal(system.patch_measure,
+                              incidence.T @ mesh.areas)
+
+
+class TestSymmetricViews:
+    @pytest.mark.parametrize("mesh", [build_structured_mesh(16),
+                                      jittered_mesh(24, seed=1)],
+                             ids=["grid-16", "jitter-24"])
+    def test_csc_view_of_a_block_is_its_csc_copy(self, mesh):
+        # principal blocks reach factor_spd as sub.T: on an exactly
+        # symmetric matrix that is tocsc() array for array
+        A = assemble(mesh).A
+        assert (A != A.T).nnz == 0
+        rng = np.random.default_rng(3)
+        for active in (np.arange(A.shape[0]),
+                       np.flatnonzero(rng.random(A.shape[0]) < 0.6)):
+            sub = A[active][:, active]
+            view, copy = sub.T, sub.tocsc()
+            assert view.format == "csc"
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(view, part),
+                                      getattr(copy, part)), part
 
 
 class TestWOf:
@@ -453,7 +551,7 @@ class TestWOf:
         u = np.zeros(system.mesh.num_nodes)
         u[j] = 1.0
         w = w_of(u, system)
-        patch = system.incidence[:, j].toarray().ravel().astype(bool)
+        patch = np.any(system.elem_nodes == j, axis=1)
         assert np.all(w[patch] == 1.0)
         assert np.all(w[~patch] == 0.0)
 
@@ -566,6 +664,55 @@ class TestGridSolver:
         nodes[8 * 17 + 8] += [0.01 / 16, 0.0]
         system = assemble(_validate(nodes, mesh.triangles))
         assert system.grid_solver() is None
+
+    def test_stencil_check_allocates_no_copy(self):
+        # the check reads A's arrays a block of rows at a time: the traced
+        # peak, the returned solver included, stays under half of A's own
+        # bytes (a check through kronsum and A - K traced about 3 times them)
+        A = assemble(build_structured_mesh(256)).A
+        own = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        assert traced_peak(_grid_laplacian_solver, A) <= 0.5 * own
+
+    @pytest.mark.parametrize("change", [
+        "none", "rounding", "off-stencil-small", "off-stencil-large",
+        "drop-neighbour", "wrap-neighbour", "duplicate-split", "scaled"])
+    def test_decisions_match_kronsum_difference(self, change):
+        # the stencil check against the explicit difference A - (T (+) T)
+        A = assemble(build_structured_mesh(9)).A.tolil()
+        m = 8
+        if change == "rounding":
+            A[10, 11] = A[10, 11] + 5e-13
+        elif change == "off-stencil-small":
+            A[0, 40] = 1e-13
+        elif change == "off-stencil-large":
+            A[0, 40] = 1e-9
+        elif change == "drop-neighbour":
+            A[m, 0] = 0.0
+        elif change == "wrap-neighbour":
+            # row m - 1 ends a grid row: its r + 1 is no neighbour
+            A[m - 1, m] = A[m, m - 1] = -1.0
+        elif change == "scaled":
+            A = A * (1.0 + 1e-10)
+        A = sp.csr_matrix(A)
+        if change == "drop-neighbour":
+            A.eliminate_zeros()
+        if change == "duplicate-split":
+            # a neighbour entry stored twice, as two halves
+            k = A.indptr[20] + np.flatnonzero(
+                A.indices[A.indptr[20]:A.indptr[21]] == 21)[0]
+            data = np.insert(A.data, k, -0.5)
+            data[k + 1] = -0.5
+            indptr = A.indptr.copy()
+            indptr[21:] += 1
+            A = sp.csr_matrix((data, np.insert(A.indices, k, 21), indptr),
+                              shape=A.shape)
+            assert not A.has_canonical_format
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+        diff = sp.csr_matrix(A - sp.kronsum(T, T, format="csr"))
+        expected = bool(np.all(np.abs(diff.data) <= GRID_TOL))
+        assert (_grid_laplacian_solver(A) is not None) == expected
+        assert expected == (change in ("none", "rounding",
+                                       "off-stencil-small", "duplicate-split"))
 
     def test_rejects_off_diagonal_change(self):
         # the diagonal is exactly 4, only the full stencil check can tell

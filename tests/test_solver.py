@@ -132,8 +132,10 @@ class TestSchedule:
                    for i in range(len(reached)))
 
     def test_unconverged_subproblem_is_an_error(self, setup16, monkeypatch):
+        # no Newton step at all: the first subproblem stops at its start
+        # (one step solves every subproblem of this run)
         problem, system = setup16
-        monkeypatch.setattr(ssn, "MAX_NEWTON", 1)
+        monkeypatch.setattr(ssn, "MAX_NEWTON", 0)
         cfg = L0PenaltyConfig(K=0.25, rho=1e9, schedule_lambda=0.9)
         with pytest.raises(DcError, match="semismooth Newton stopped"):
             solve_l0_penalized(problem, system, cfg)
@@ -303,3 +305,34 @@ class TestCallCounts:
         assert sol.dc_iters == 2
         assert calls == {"largest_k_greedy": 3, "largest_k_auto": 1,
                          "w_of": 4}
+
+    def test_one_sort_per_iterate_on_a_schedule(self, monkeypatch):
+        # on a schedule the objective and the next subgradient scan one
+        # iterate's element sums at two budgets; both scans share one
+        # greedy order and select what a scan with its own sort selects
+        from dcl0 import measures
+        system = assemble(jittered_mesh(12, seed=3), default_load)
+        problem = poisson_prototype(system)
+        calls = {"greedy_order": 0, "largest_k_greedy": 0, "w_of": 0}
+        originals = {name: getattr(solver, name) for name in calls}
+
+        def counted(name):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                result = originals[name](*args, **kwargs)
+                if name == "largest_k_greedy":
+                    own = measures.largest_k_greedy(*args[:3])
+                    assert np.array_equal(result.indices, own.indices)
+                    assert (result.value, result.weight) == (own.value,
+                                                            own.weight)
+                return result
+            monkeypatch.setattr(solver, name, run)
+
+        for name in calls:
+            counted(name)
+        sol = solve_l0_penalized(problem, system,
+                                 L0PenaltyConfig(K=0.25, schedule_lambda=0.7))
+        assert sol.schedule_steps >= 2
+        # one sort per iterate: every w_of call but support_metrics' one
+        assert calls["greedy_order"] == calls["w_of"] - 1
+        assert calls["largest_k_greedy"] > calls["greedy_order"]

@@ -88,3 +88,47 @@ def test_the_check_sees_splu_calls():
                      "def f(a):\n"
                      "    return a.splu_like(a)\n")
     assert splu_calls(tree) == [("<module>", 3), ("m", 6)]
+
+
+#: methods whose call makes a copy of a sparse matrix
+COPYING_METHODS = ("tocsc", "tocsr", "copy")
+
+
+def copying_factor_calls(tree):
+    """``(line, method)`` for every call of a function named ``factor_spd``,
+    plain or as an attribute, that passes an expression calling one of
+    :data:`COPYING_METHODS`: an exactly symmetric CSR matrix reaches the
+    factorization as its CSC view ``.T``, not as a converted copy."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name != "factor_spd":
+            continue
+        for arg in node.args + [kw.value for kw in node.keywords]:
+            found += [(node.lineno, inner.func.attr)
+                      for inner in ast.walk(arg)
+                      if isinstance(inner, ast.Call)
+                      and isinstance(inner.func, ast.Attribute)
+                      and inner.func.attr in COPYING_METHODS]
+    return found
+
+
+def test_factorizations_take_views():
+    found = [(path.name, *hit) for path in sorted(SOURCE.glob("*.py"))
+             for hit in copying_factor_calls(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_check_sees_copies_passed_to_factor_spd():
+    tree = ast.parse("from dcl0.ssn import factor_spd\n"
+                     "lu = factor_spd(A.tocsc())\n"
+                     "lu = factor_spd(A[idx][:, idx].tocsr().T)\n"
+                     "lu = ssn.factor_spd(csc=A.copy())\n"
+                     "lu = factor_spd(A.T)\n"
+                     "lu = other(A.tocsc())\n")
+    assert copying_factor_calls(tree) == [(2, "tocsc"), (3, "tocsr"),
+                                          (4, "copy")]

@@ -254,7 +254,7 @@ class TestSsnSolve:
         weights = L1Weights(np.full(n, 0.1))
         res = ssn_solve(H, q, weights)
         assert not res.converged and res.iters == 2
-        # the iterate after one Newton step, with its own residual
+        # the iterate after the two Newton steps, with its own residual
         F = f_tau_residual(res.u, H, q, weights, default_tau(res.u, weights))
         assert res.residual == float(np.linalg.norm(F)) > ssn.SSN_TOL
         assert np.any(res.u != 0.0)
@@ -268,6 +268,57 @@ class TestSsnSolve:
             ssn_solve(H, np.ones(3), weights, tau=-1.0)
         assert default_tau(np.zeros(3), weights) > 0.0
         assert ssn_solve(H, np.ones(3), weights, u0=np.zeros(3)).converged
+
+
+class TestRepeatedClassification:
+    @pytest.mark.parametrize("scale", [10.0, 50.0])
+    def test_scaled_acceptance_instances_converge(self, scale):
+        # criterion 5's generator (seed 10, 65 instances) with q and c
+        # scaled: the residual's rounding floor then lies above SSN_TOL, and
+        # an absolute test left 2 (x10) and 56 (x50) solves unconverged
+        rng = np.random.default_rng(10)
+        for _ in range(65):
+            n = int(rng.integers(5, 201))
+            H = QuadraticOperator.from_matrix(random_spd(rng, n))
+            q = rng.standard_normal(n) * 0.2 * scale
+            c = rng.random(n) * rng.choice([0.0, 0.05, 0.2]) * scale
+            systems = []
+            solve = H.solve_principal
+
+            def recorded(active, rhs, x0=None, solve=solve, systems=systems):
+                systems.append((active.tobytes(), rhs.tobytes()))
+                return solve(active, rhs, x0=x0)
+            H.solve_principal = recorded
+            res = ssn_solve(H, q, L1Weights(c))
+            assert res.converged
+            assert res.residual <= ssn.repeat_tolerance(q, c, np.zeros(n))
+            assert res.iters <= 6
+            # no Newton system is solved twice
+            assert len(set(systems)) == len(systems)
+
+    def test_repeat_with_large_residual_fails(self, rng):
+        # inexact principal solves, as from conjugate gradients stopped
+        # early: the classification repeats, the residual stays large
+        n = 30
+        H = random_spd_operator(rng, n)
+        q = rng.standard_normal(n)
+        c = np.full(n, 0.3)
+        solve = H.solve_principal
+        H.solve_principal = lambda active, rhs, x0=None: (
+            solve(active, rhs) + 1e-6)
+        res = ssn_solve(H, q, L1Weights(c))
+        assert not res.converged
+        assert res.iters < ssn.MAX_NEWTON
+        assert res.residual > ssn.repeat_tolerance(q, c, np.zeros(n))
+
+    def test_repeat_tolerance_scales_with_the_data(self):
+        small, large = np.array([0.5, -1.0]), np.array([3.0, -30.0])
+        zero = np.zeros(2)
+        assert ssn.repeat_tolerance(small, small, zero) == ssn.SSN_TOL
+        assert ssn.repeat_tolerance(zero, zero, zero) == ssn.SSN_TOL
+        assert ssn.repeat_tolerance(np.zeros(0), np.zeros(0),
+                                    np.zeros(0)) == ssn.SSN_TOL
+        assert ssn.repeat_tolerance(small, zero, large) == 30.0 * ssn.SSN_TOL
 
 
 class TestDefaultTau:
