@@ -218,7 +218,7 @@ POISSON_SPEC = {**MESH_SPEC, "rho": (float, 1e9), **DC_SPEC,
 
 
 def cmd_poisson(opts):
-    system = assemble(_mesh_from(opts), default_load)
+    system = assemble(_mesh_from(opts), default_load, mass=False)
     return _penalized_runs(opts, system, [(poisson_prototype(system), {})])
 
 
@@ -246,7 +246,7 @@ SPARSA_SPEC = {**MESH_SPEC, "u0_file": DC_SPEC["u0_file"], **RUN_OUTPUT_SPEC,
 
 
 def cmd_sparsa(opts):
-    system = assemble(_mesh_from(opts), default_load)
+    system = assemble(_mesh_from(opts), default_load, mass=False)
     problem = poisson_prototype(system)
     given = read_field(opts.u0_file) if opts.u0_file else None
     # check a given start point even where beta = 0 ignores it
@@ -275,7 +275,7 @@ SWEEP_SPEC = {**MESH_SPEC, **DC_SPEC,
 
 
 def cmd_sweep(opts):
-    system = assemble(_mesh_from(opts), default_load)
+    system = assemble(_mesh_from(opts), default_load, mass=False)
     problem = poisson_prototype(system)
     solutions = penalty_sweep(problem, system, _solver_config(opts),
                               opts.rhos)
@@ -305,7 +305,7 @@ def cmd_verify(opts):
     if missing:
         raise ConfigError(f"{opts.csv}: no {' or '.join(missing)} value")
     system = assemble(import_mesh(opts.mesh_file) if opts.mesh_file
-                      else build_structured_mesh(int(row["n"])))
+                      else build_structured_mesh(int(row["n"])), mass=False)
     ok, l0, gap = _recheck_field(opts.solution_out, system, float(row["K"]),
                                  float(row["l0"]), float(row["gap"]))
     print(f"l0 recomputed {l0:.12g} reported {row['l0']}; "

@@ -1,11 +1,12 @@
 """P1 triangular finite elements on the unit square (or imported meshes).
 
 Provides the structured crossed-diagonal triangulation, plain-text mesh and
-nodal-field I/O, and the assembly of the stiffness matrix, mass matrix and
-load vector together with the element/patch measure vectors needed by the
-discrete largest-K machinery.  Dirichlet rows/columns are eliminated and only
-the free-dof matrices are kept; vectors crossing module boundaries are full
-length with zeros on the boundary.
+nodal-field I/O, and the assembly of the stiffness matrix, the load vector
+and, for the control problem, the mass matrix together with the
+element/patch measure vectors needed by the discrete largest-K machinery.
+Dirichlet rows/columns are eliminated and only the free-dof matrices are
+kept; vectors crossing module boundaries are full length with zeros on the
+boundary.
 Stiffness solves use a 2-D sine transform where the free-dof stiffness is
 the 5-point Laplacian of a square grid, and a cached sparse factorization
 elsewhere.
@@ -14,6 +15,7 @@ elsewhere.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,25 +66,38 @@ class TriMesh:
 
 
 def _signed_areas(nodes, triangles):
-    p = nodes[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    # vertex coordinates gathered a column at a time, with no (m, 3, 2) copy
+    # of the mesh: the same operations, so the same bits, as on that copy
+    x, y = nodes[:, 0], nodes[:, 1]
+    i, j, k = triangles.T
+    x0, y0 = x[i], y[i]
+    d1x, d1y = x[j] - x0, y[j] - y0
+    d2x, d2y = x[k] - x0, y[k] - y0
+    return 0.5 * (d1x * d2y - d1y * d2x)
 
 
 def _boundary_nodes(triangles, num_nodes):
-    # boundary edges belong to exactly one triangle, interior edges to two
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    # one integer key per undirected edge: min * N + max
-    keys = edges.min(axis=1).astype(np.int64) * num_nodes + edges.max(axis=1)
-    uniq, counts = np.unique(keys, return_counts=True)
-    if counts.max() > 2:
+    # boundary edges belong to exactly one triangle, interior edges to two;
+    # one integer key per undirected edge, min * N + max, sorted in place
+    m = triangles.shape[0]
+    keys = np.empty(3 * m, dtype=np.int64)
+    for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+        key = keys[e * m:(e + 1) * m]
+        np.minimum(triangles[:, a], triangles[:, b], out=key)
+        key *= num_nodes
+        key += np.maximum(triangles[:, a], triangles[:, b])
+    keys.sort()
+    if np.any(keys[2:] == keys[:-2]):
+        uniq, counts = np.unique(keys, return_counts=True)
         key = int(uniq[np.argmax(counts)])
         raise MeshFormatError(
             f"edge ({key // num_nodes}, {key % num_nodes}) belongs to "
             f"{counts.max()} triangles; a mesh edge has at most two")
-    single = uniq[counts == 1]
+    # a key that differs from both of its neighbours occurs once
+    single = np.ones(keys.size, dtype=bool)
+    single[1:] = keys[1:] != keys[:-1]
+    single[:-1] &= single[1:]
+    single = keys[single]
     return np.unique(np.concatenate([single // num_nodes, single % num_nodes]))
 
 
@@ -136,17 +151,99 @@ def build_structured_mesh(n: int) -> TriMesh:
 
 
 def export_mesh(mesh: TriMesh, path):
+    """Write ``mesh`` as text: ``nodes N``, one ``x y`` line per node (each
+    coordinate its float ``repr``), ``triangles M`` and one ``i j k`` line
+    per triangle."""
+    lines = [f"nodes {mesh.num_nodes}"]
+    lines += [f"{x!r} {y!r}"
+              for x, y in np.asarray(mesh.nodes, dtype=float).tolist()]
+    lines.append(f"triangles {mesh.num_triangles}")
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
     with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.num_nodes}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        fh.write(f"triangles {mesh.num_triangles}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
-def import_mesh(path) -> TriMesh:
-    """Read a mesh in the plain-text format written by :func:`export_mesh`."""
+#: bytes that the vectorized readers take in a block of indices (ASCII
+#: digits and whitespace) and of reals (also signs, points and exponents);
+#: any other byte sends a file to the token reader
+_INDEX_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+_REAL_BYTES = _INDEX_BYTES + b"+-.eE"
+
+#: bytes per pass of :func:`_count_tokens`
+_TOKEN_CHUNK = 1 << 16
+
+#: a count after its keyword, then whitespace or the end of the file; a
+#: longer count is left to the token reader
+_COUNT = rb"\s+(\d{1,18})(?=\s|\Z)"
+_NODES_HEAD = re.compile(rb"\s*nodes" + _COUNT)
+_TRIANGLES_HEAD = re.compile(rb"triangles" + _COUNT)
+_FIELD_HEAD = re.compile(rb"\s*field" + _COUNT)
+
+
+def _count_tokens(block):
+    """Whitespace-separated tokens of a block of :data:`_REAL_BYTES`, whose
+    whitespace bytes are those up to 32: the token starts, counted a chunk
+    of bytes at a time."""
+    view = np.frombuffer(block, dtype=np.uint8)
+    count = int(view.size > 0 and view[0] > 32)
+    for start in range(1, view.size, _TOKEN_CHUNK):
+        in_token = view[start - 1:start + _TOKEN_CHUNK] > 32
+        count += int(np.count_nonzero(in_token[1:] > in_token[:-1]))
+    return count
+
+
+def _block_values(block, dtype, count):
+    """The ``count`` numbers of the ASCII text ``block``, parsed in C with no
+    Python object per number; None unless the token reader would read the
+    same ``count`` values from it.
+
+    On these bytes numpy's parser reads each whitespace-separated token as
+    Python does or stops with a ValueError, with three exceptions, each of
+    which sends the block to the token reader: it reads a block of
+    whitespace alone as one number and joins a lone sign to the next
+    integer (either way the token count differs), and it saturates an
+    integer beyond int64 (index blocks hold no sign, so a saturated value
+    is the int64 maximum)."""
+    allowed = _REAL_BYTES if dtype is float else _INDEX_BYTES
+    if block.translate(None, allowed) or _count_tokens(block) != count:
+        return None
+    if count == 0:
+        return np.empty(0, dtype=dtype)
+    try:
+        values = np.fromstring(block, dtype=dtype, sep=" ")
+    except ValueError:
+        # a token C reads only part of, such as 0.5-0.3 or 1.5 as an index
+        return None
+    if values.size != count:
+        return None
+    if dtype is int and values.max() == np.iinfo(values.dtype).max:
+        return None
+    return values
+
+
+def _mesh_arrays(data):
+    """``(nodes, triangles)`` of the mesh file bytes ``data`` by
+    :func:`_block_values`, or None where the token reader must decide."""
+    head = _NODES_HEAD.match(data)
+    if head is None:
+        return None
+    num_nodes = int(head.group(1))
+    # the first 'triangles' ends the node block, which has no letters but e
+    at = data.find(b"triangles", head.end())
+    tail = _TRIANGLES_HEAD.match(data, at) if at >= 0 else None
+    if tail is None or not data[at - 1:at].isspace():
+        return None
+    num_tris = int(tail.group(1))
+    nodes = _block_values(data[head.end():at], float, 2 * num_nodes)
+    tris = _block_values(data[tail.end():], int, 3 * num_tris)
+    if nodes is None or tris is None:
+        return None
+    return nodes.reshape(num_nodes, 2), tris.reshape(num_tris, 3)
+
+
+def _mesh_arrays_from_tokens(path):
+    """``(nodes, triangles)`` of a mesh file read token by token, or the
+    :class:`MeshFormatError` that names what is wrong with it."""
     with open(path) as fh:
         tokens = fh.read().split()
     pos = 0
@@ -165,6 +262,12 @@ def import_mesh(path) -> TriMesh:
             out = np.array(tokens[pos:pos + count], dtype=dtype)
         except ValueError as exc:
             raise MeshFormatError(f"bad value near token {pos}: {exc}") from exc
+        except OverflowError:
+            # numpy converts the tokens in order: each before this one fits
+            bad = next(t for t in tokens[pos:pos + count]
+                       if not -2**63 <= int(t) < 2**63)
+            raise MeshFormatError(f"bad value near token {pos}: {bad} is "
+                                  "beyond the 64-bit integer range") from None
         pos += count
         return out
 
@@ -181,17 +284,37 @@ def import_mesh(path) -> TriMesh:
     tris = take(3 * num_tris, int).reshape(num_tris, 3)
     if pos != len(tokens):
         raise MeshFormatError("trailing data after triangle list")
-    return _validate(nodes, tris)
+    return nodes, tris
+
+
+def import_mesh(path) -> TriMesh:
+    """Read and validate a mesh in the plain-text format written by
+    :func:`export_mesh` (any whitespace between tokens; Python's ``float``
+    and ``int`` spellings of the numbers).
+
+    Each number block of an ASCII file is parsed in C
+    (:func:`_block_values`); any other file, and any block that reader does
+    not vouch for, is read token by token, which accepts exactly the same
+    files, gives bit-identical arrays and names the first error."""
+    with open(path, "rb") as fh:
+        arrays = _mesh_arrays(fh.read())
+    if arrays is None:
+        arrays = _mesh_arrays_from_tokens(path)
+    return _validate(*arrays)
 
 
 def write_field(path, values):
+    """Write a nodal field as text: ``field N``, then one float ``repr`` per
+    line."""
     values = np.asarray(values, dtype=float)
+    lines = [f"field {values.size}", *map(repr, values.tolist())]
     with open(path, "w") as fh:
-        fh.write(f"field {values.size}\n")
-        fh.write("".join(f"{v!r}\n" for v in values.tolist()))
+        fh.write("\n".join(lines) + "\n")
 
 
-def read_field(path):
+def _field_values_from_tokens(path):
+    """The values of a field file read token by token, or the
+    :class:`MeshFormatError` that names what is wrong with it."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2 or tokens[0] != "field":
@@ -204,6 +327,20 @@ def read_field(path):
     if values.size != count:
         raise MeshFormatError(f"field file announces {count} values, "
                               f"found {values.size}")
+    return values
+
+
+def read_field(path):
+    """Read a field written by :func:`write_field`: its values parsed in C
+    as :func:`import_mesh` parses a mesh, with the same token fallback;
+    every value must be finite."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = _FIELD_HEAD.match(data)
+    values = (None if head is None else
+              _block_values(data[head.end():], float, int(head.group(1))))
+    if values is None:
+        values = _field_values_from_tokens(path)
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise MeshFormatError(f"field value {bad} is not finite: {values[bad]}")
@@ -329,16 +466,18 @@ class FemSystem:
 
     ``A``/``M``/``b`` act on the free (interior) degrees of freedom and no
     all-node matrix is kept; ``A`` and ``M`` share one ``indices``/``indptr``
-    pair.  ``elem_nodes`` holds the three node indices of each element in
-    ascending order (int32), ``elem_measure`` the triangle areas,
-    ``patch_measure`` per node the total area of its incident triangles,
-    and ``basis_integral`` the integral of each nodal basis function (one
-    third of the patch measure for triangles).
+    pair.  ``M`` exists only where :func:`assemble` was asked for it (the
+    control problem) and is None elsewhere.  ``elem_nodes`` holds the three
+    node indices of each element in ascending order (int32),
+    ``elem_measure`` the triangle areas, ``patch_measure`` per node the
+    total area of its incident triangles, and ``basis_integral`` the
+    integral of each nodal basis function (one third of the patch measure
+    for triangles).
     """
 
     mesh: TriMesh
     A: sp.csr_matrix
-    M: sp.csr_matrix
+    M: sp.csr_matrix | None
     b: np.ndarray
     elem_nodes: np.ndarray
     elem_measure: np.ndarray
@@ -401,10 +540,11 @@ class FemSystem:
 _CHUNK = 1 << 13
 
 
-def _assemble_nodes(mesh: TriMesh, g=None, keep=None):
+def _assemble_nodes(mesh: TriMesh, g=None, keep=None, mass=True):
     """Stiffness and mass on the nodes ``keep`` (ascending; every node,
     boundary included, when None) and the load of every node:
-    ``(A, M, b_full)``, where ``A`` and ``M`` share one index pair.
+    ``(A, M, b_full)``, where ``A`` and ``M`` share one index pair; ``M`` is
+    None without ``mass``.
 
     Stiffness and mass use the exact P1 element integrals; the load uses the
     three-point edge-midpoint rule (exact for quadratic integrands).
@@ -418,7 +558,10 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None):
     every entry's terms are added in the order a conversion of the whole
     list would, and complex addition is per component.  Rows and columns
     outside ``keep`` are dropped once summed.  So ``A`` and ``M`` are bit
-    for bit the ``keep`` block of two separate conversions.
+    for bit the ``keep`` block of two separate conversions.  Without
+    ``mass`` the same summation runs on the real stiffness blocks alone:
+    scipy's row sort compares column indices only, so it orders every row
+    alike for real and complex data, and ``A`` is the same bits.
 
     Both loops fill preallocated arrays: the first, over triangles, adds
     the load in triangle order and stores the gradients; the second, over
@@ -462,8 +605,9 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None):
     slots = np.argsort(tris.ravel(), kind="stable")
     first = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(tris.ravel(), minlength=num_nodes), out=first[1:])
-    mass = areas / 12.0
-    a_data, m_data = np.empty(9 * m), np.empty(9 * m)
+    elem_mass = areas / 12.0
+    a_data = np.empty(9 * m)
+    m_data = np.empty(9 * m) if mass else None
     indices = np.empty(9 * m, dtype=np.int32)
     indptr = np.zeros(num_kept + 1, dtype=np.int32)
     nnz, r0 = 0, 0
@@ -474,14 +618,15 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None):
         s = slots[first[r0]:first[r1]]
         t = s // 3
         i = s - 3 * t
-        block = np.empty((s.size, 3), dtype=complex)
+        block = np.empty((s.size, 3), dtype=complex if mass else float)
         gxi, gyi, area = gx[i, t], gy[i, t], areas[t]
         for j in range(3):
             # the product order of the element block (i, j), which is
             # symmetric bit for bit
             block.real[:, j] = (gxi * gx[j, t] + gyi * gy[j, t]) * area
-        block.imag = mass[t][:, None]
-        block.imag[np.arange(s.size), i] *= 2.0
+        if mass:
+            block.imag = elem_mass[t][:, None]
+            block.imag[np.arange(s.size), i] *= 2.0
         rows = sp.csr_matrix(
             (block.ravel(), tris[t].ravel(), 3 * (first[r0:r1 + 1] - first[r0])),
             shape=(r1 - r0, num_nodes))
@@ -496,7 +641,8 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None):
         kept = (row_of >= 0) & (col >= 0)
         end = nnz + np.count_nonzero(kept)
         a_data[nnz:end] = rows.data.real[kept]
-        m_data[nnz:end] = rows.data.imag[kept]
+        if mass:
+            m_data[nnz:end] = rows.data.imag[kept]
         indices[nnz:end] = col[kept]
         kept_rows = position[r0:r1][position[r0:r1] >= 0]
         if kept_rows.size:
@@ -509,6 +655,8 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None):
     shape = (num_kept, num_kept)
     indices = indices[:nnz].copy()
     A = sp.csr_matrix((a_data[:nnz].copy(), indices, indptr), shape=shape)
+    if not mass:
+        return A, None, b_full
     M = sp.csr_matrix((m_data[:nnz].copy(), indices, indptr), shape=shape)
     # one index pair for both; the constructor keeps each as its own view
     M.indices, M.indptr = A.indices, A.indptr
@@ -523,15 +671,19 @@ def _node_sums(elem_nodes, elem_values, num_nodes):
                        minlength=num_nodes)
 
 
-def assemble(mesh: TriMesh, g=None) -> FemSystem:
-    """Assemble stiffness, mass and load for ``-laplace u = g`` with
-    homogeneous Dirichlet data (see :func:`_assemble_nodes`) and eliminate
-    the boundary nodes."""
+def assemble(mesh: TriMesh, g=None, mass=True) -> FemSystem:
+    """Assemble stiffness, load and, with ``mass``, the mass matrix for
+    ``-laplace u = g`` with homogeneous Dirichlet data (see
+    :func:`_assemble_nodes`) and eliminate the boundary nodes.
+
+    Only the control problem reads ``M``; the Poisson commands pass
+    ``mass=False`` and get a system whose ``M`` is None, with the same
+    ``A`` and ``b`` bit for bit."""
     num_nodes = mesh.num_nodes
     on_boundary = np.zeros(num_nodes, dtype=bool)
     on_boundary[mesh.boundary_nodes] = True
     free = np.flatnonzero(~on_boundary)
-    A, M, b_full = _assemble_nodes(mesh, g, keep=free)
+    A, M, b_full = _assemble_nodes(mesh, g, keep=free, mass=mass)
     elem_nodes = np.sort(mesh.triangles, axis=1).astype(np.int32)
     patch_measure = _node_sums(elem_nodes, mesh.areas, num_nodes)
     basis_integral = patch_measure / 3.0

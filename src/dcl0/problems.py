@@ -103,6 +103,9 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
     """
     cfg = cfg or ControlConfig()
     A, M = system.A, system.M
+    if M is None:
+        raise ValueError("the control problem needs the mass matrix: "
+                         "assemble(mesh, mass=True)")
     if callable(cfg.y_d):
         xy = system.mesh.nodes[system.free_nodes]
         yd = np.asarray(cfg.y_d(xy[:, 0], xy[:, 1]), dtype=float)

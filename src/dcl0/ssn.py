@@ -21,6 +21,7 @@ at rounding level even for penalty factors around 1e9.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,9 @@ class QuadraticOperator:
     conjugate gradients of a principal system use its principal block
     ``P[active, active]`` (zero-extend, apply, restrict), which is again
     symmetric positive definite; the stopping tolerance is unchanged.
+
+    A principal factor lives for one :meth:`solve_principal` call, or
+    within :meth:`keeping_factor` until a call on another active set.
     """
 
     def __init__(self, apply, n, explicit=None, full_solver=None,
@@ -117,12 +121,30 @@ class QuadraticOperator:
         self.explicit = explicit
         self.full_solver = full_solver
         self.preconditioner = preconditioner
+        # inside keeping_factor, the (active, block, factor) of the last
+        # principal solve
+        self._keeping = False
+        self._kept = None
 
     @classmethod
     def from_matrix(cls, H, full_solver=None):
         H = sp.csr_matrix(H)
         return cls(apply=lambda u: H @ u, n=H.shape[0], explicit=H,
                    full_solver=full_solver)
+
+    @contextmanager
+    def keeping_factor(self):
+        """Within the ``with`` block, :meth:`solve_principal` keeps the
+        factor of its last principal block and solves the next system on
+        the same active set with it; the factor is dropped before another
+        block is factored and when the block ends, so at most one is alive
+        and none outlives the block."""
+        self._keeping = True
+        try:
+            yield
+        finally:
+            self._keeping = False
+            self._kept = None
 
     def solve_principal(self, active, rhs, x0=None):
         """Solve ``H[active, active] x = rhs`` for the active index set."""
@@ -136,12 +158,20 @@ class QuadraticOperator:
             if solve is not None:
                 return solve(rhs)
         if self.explicit is not None:
-            sub = self.explicit[active][:, active]
-            try:
-                # sub is exactly symmetric, so its CSC view sub.T is sub
-                lu = factor_spd(sub.T)
-            except RuntimeError as exc:
-                raise SsnError(f"singular principal system: {exc}") from exc
+            kept = self._kept
+            if kept is not None and np.array_equal(kept[0], active):
+                _, sub, lu = kept
+            else:
+                # drop the last factor before the next one is made
+                self._kept = kept = None
+                sub = self.explicit[active][:, active]
+                try:
+                    # sub is exactly symmetric, so its CSC view sub.T is sub
+                    lu = factor_spd(sub.T)
+                except RuntimeError as exc:
+                    raise SsnError(f"singular principal system: {exc}") from exc
+                if self._keeping:
+                    self._kept = active, sub, lu
             x = lu.solve(rhs)
             x += lu.solve(rhs - sub @ x)
             return x
@@ -273,6 +303,10 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
       termination): converged if its residual is at most
       :func:`repeat_tolerance`, a failure otherwise;
     - or follows :data:`MAX_NEWTON` steps (a failure).
+
+    A step whose active index set repeats the last one's with other clamp
+    signs solves with the factor already made (:meth:`QuadraticOperator.
+    keeping_factor`); no factor outlives the call.
     """
     q = np.asarray(q, dtype=float)
     c = weights.c
@@ -281,27 +315,28 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
     tilt = np.zeros(n) if tilt is None else np.asarray(tilt, dtype=float)
 
     previous = None
-    for iters in range(MAX_NEWTON + 1):
-        base_g = H.apply(u) - q
-        F, inactive, shift = _residual_parts(u, base_g, tilt, c,
-                                             default_tau(u, weights))
-        res = float(np.linalg.norm(F))
-        # the inactive set and the clamped values fix the Newton system
-        repeated = (previous is not None
-                    and np.array_equal(inactive, previous[0])
-                    and np.array_equal(shift, previous[1]))
-        if res <= SSN_TOL or repeated or iters == MAX_NEWTON:
-            tol = repeat_tolerance(q, c, tilt) if repeated else SSN_TOL
-            return SsnResult(u=u, residual=res, iters=iters,
-                             converged=res <= tol)
-        previous = inactive, shift
+    with H.keeping_factor():
+        for iters in range(MAX_NEWTON + 1):
+            base_g = H.apply(u) - q
+            F, inactive, shift = _residual_parts(u, base_g, tilt, c,
+                                                 default_tau(u, weights))
+            res = float(np.linalg.norm(F))
+            # the inactive set and the clamped values fix the Newton system
+            repeated = (previous is not None
+                        and np.array_equal(inactive, previous[0])
+                        and np.array_equal(shift, previous[1]))
+            if res <= SSN_TOL or repeated or iters == MAX_NEWTON:
+                tol = repeat_tolerance(q, c, tilt) if repeated else SSN_TOL
+                return SsnResult(u=u, residual=res, iters=iters,
+                                 converged=res <= tol)
+            previous = inactive, shift
 
-        active = np.flatnonzero(~inactive)
-        u_new = np.zeros(n)
-        if active.size:
-            u_new[active] = H.solve_principal(
-                active, q[active] + shift[active], x0=u[active])
-        u = u_new
+            active = np.flatnonzero(~inactive)
+            u_new = np.zeros(n)
+            if active.size:
+                u_new[active] = H.solve_principal(
+                    active, q[active] + shift[active], x0=u[active])
+            u = u_new
 
 
 def _soft_threshold(v, thresh):

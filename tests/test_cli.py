@@ -132,6 +132,19 @@ class TestPoissonCommand:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999\n",
+        "nodes 99999999999999999999\n0 0\n",
+    ], ids=["index", "count"])
+    def test_integer_beyond_int64_fails(self, tmp_path, capsys, text):
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        assert run("poisson", "--mesh-file", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dcl0: solver failure: bad value near token ")
+        assert "99999999999999999999 is beyond the 64-bit integer range" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_mesh_coordinate_fails(self, tmp_path, capsys, bad):
         path = tmp_path / "mesh.txt"
@@ -579,3 +592,42 @@ class TestOptionTables:
                            for flag in action.option_strings} - {"-h", "--help"}
                     for name, cmd in sub.choices.items()}
         assert readme_option_table() == accepted
+
+
+class TestAssembledSystems:
+    """Only the control problem reads the mass matrix; the other commands
+    assemble without it."""
+
+    @pytest.fixture
+    def systems(self, monkeypatch):
+        built = []
+        original = cli.assemble
+
+        def recorded(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "assemble", recorded)
+        return built
+
+    def test_poisson_commands_build_no_mass(self, tmp_path, systems):
+        csv, sol = str(tmp_path / "run.csv"), str(tmp_path / "u.txt")
+        assert run("poisson", "--n", "8", "--csv", csv,
+                   "--solution-out", sol, "--verify") == 0
+        assert run("sparsa", "--n", "8", "--csv", str(tmp_path / "s.csv")) == 0
+        assert run("sweep", "--n", "8", "--rhos", "1e3,1e9",
+                   "--csv", str(tmp_path / "w.csv")) == 0
+        assert run("verify", "--csv", csv, "--solution-out", sol) == 0
+        assert len(systems) == 4
+        assert all(system.M is None for system in systems)
+        # the same stiffness and load as a system with its mass matrix
+        full = assemble(build_structured_mesh(8), default_load)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(systems[0].A, part),
+                                  getattr(full.A, part))
+        assert np.array_equal(systems[0].b, full.b)
+
+    def test_control_builds_mass(self, tmp_path, systems):
+        assert run("control", "--n", "8",
+                   "--csv", str(tmp_path / "c.csv")) == 0
+        assert len(systems) == 1 and systems[0].M is not None

@@ -188,6 +188,41 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match=message):
             import_mesh(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999\n",
+         "bad value near token 10: 99999999999999999999 is beyond"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 -99999999999999999999\n",
+         "bad value near token 10: -99999999999999999999 is beyond"),
+        ("nodes 99999999999999999999\n", "bad value near token 1: "),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 18446744073709551616\n",
+         "bad value near token 9: 18446744073709551616 is beyond"),
+    ], ids=["index", "negative-index", "node-count", "triangle-count"])
+    def test_integer_beyond_int64(self, tmp_path, text, message):
+        # numpy's C parser saturates these at the int64 maximum, and the
+        # token reader's numpy conversion raises OverflowError
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match=message):
+            import_mesh(path)
+
+    def test_int64_maximum_is_an_index_out_of_range(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("nodes 3\n0 0\n1 0\n0 1\n"
+                        "triangles 1\n0 1 9223372036854775807\n")
+        with pytest.raises(MeshFormatError, match="index out of range"):
+            import_mesh(path)
+
+    def test_import_traces_little_beyond_its_arrays(self, tmp_path):
+        # numbers parsed in C: no Python object per token, and validation
+        # with no whole-mesh (m, 3, 2) or (3 m, 2) temporary
+        path = tmp_path / "mesh.txt"
+        export_mesh(jittered_mesh(96, seed=3), path)
+        peak = traced_peak(import_mesh, path)
+        mesh = import_mesh(path)
+        returned = sum(a.nbytes for a in (mesh.nodes, mesh.triangles,
+                                          mesh.boundary_nodes, mesh.areas))
+        assert peak <= 3 * returned
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_coordinate(self, tmp_path, bad):
         path = tmp_path / "bad.txt"
@@ -222,6 +257,35 @@ class TestMeshIO:
         assert path.read_bytes() == expected.encode()
         assert path.read_text().splitlines()[1:4] == ["-0.0", "5e-324",
                                                       "1e+300"]
+
+    def test_field_bytes_match_a_per_value_writer(self, tmp_path):
+        rng = np.random.default_rng(19)
+        values = rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 20, 2000)
+        values[::7] = -0.0
+        values[1::11] = 5e-324 * rng.integers(1, 1000, values[1::11].size)
+        values[2::13] = 1e16
+        values[3::17] = 1e-5
+        values[4::19] = rng.integers(-1000, 1000, values[4::19].size)
+        for field in (values, values[:1], values[:0]):
+            path = tmp_path / "field.txt"
+            write_field(path, field)
+            expected = f"field {field.size}\n" + "".join(
+                f"{float(v)!r}\n" for v in field)
+            assert path.read_bytes() == expected.encode()
+            assert np.array_equal(read_field(path), field)
+        write_field(path, [])
+        assert path.read_bytes() == b"field 0\n"
+
+    def test_mesh_bytes_match_a_per_row_writer(self, tmp_path):
+        for mesh in (build_structured_mesh(2), jittered_mesh(9, seed=6)):
+            path = tmp_path / "mesh.txt"
+            export_mesh(mesh, path)
+            expected = f"nodes {mesh.num_nodes}\n"
+            expected += "".join(f"{float(x)!r} {float(y)!r}\n"
+                                for x, y in mesh.nodes)
+            expected += f"triangles {mesh.num_triangles}\n"
+            expected += "".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles)
+            assert path.read_bytes() == expected.encode()
 
     def test_field_bad_count(self, tmp_path):
         path = tmp_path / "field.txt"
@@ -465,6 +529,20 @@ class TestAssemblyMatchesReference:
                         getattr(getattr(system, name), part),
                         getattr(ref[name], part)), (name, part)
             assert np.array_equal(system.b, ref["b"])
+
+    @pytest.mark.parametrize("case", ASSEMBLY_MESHES)
+    def test_without_mass_same_stiffness_and_load(self, case):
+        kind, n, seed = case
+        mesh = (build_structured_mesh(n) if kind == "grid"
+                else jittered_mesh(n, seed=seed))
+        full = assemble(mesh, default_load)
+        lean = assemble(mesh, default_load, mass=False)
+        assert lean.M is None
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(lean.A, part),
+                                  getattr(full.A, part)), part
+        assert lean.A.data.dtype == full.A.data.dtype
+        assert np.array_equal(lean.b, full.b)
 
     def test_all_node_matrices(self):
         # without keep, the node matrices of every node

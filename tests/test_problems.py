@@ -102,6 +102,11 @@ class TestControlReduced:
         zero = np.zeros(system8.mesh.num_nodes)
         assert problem.tracking_error(zero) == pytest.approx(expected, rel=1e-12)
 
+    def test_needs_the_mass_matrix(self):
+        system = assemble(build_structured_mesh(4), mass=False)
+        with pytest.raises(ValueError, match="needs the mass matrix"):
+            control_reduced(system, ControlConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ControlConfig(alpha=0.0)

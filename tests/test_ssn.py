@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -271,11 +273,42 @@ class TestSsnSolve:
 
 
 class TestRepeatedClassification:
+    @staticmethod
+    def factorizations(monkeypatch):
+        """Per principal solve, the active set's bytes and whether the
+        solve made a factorization."""
+        calls = []
+        solve, factor = QuadraticOperator.solve_principal, ssn.factor_spd
+
+        def recorded_solve(self, active, rhs, x0=None):
+            calls.append([active.tobytes(), False])
+            return solve(self, active, rhs, x0=x0)
+
+        def recorded_factor(csc):
+            calls[-1][1] = True
+            return factor(csc)
+
+        monkeypatch.setattr(QuadraticOperator, "solve_principal",
+                            recorded_solve)
+        monkeypatch.setattr(ssn, "factor_spd", recorded_factor)
+        return calls
+
+    @staticmethod
+    def assert_no_refactor(calls):
+        """Each principal solve factors exactly when its active set differs
+        from the last one's; returns the solves that reused a factor."""
+        reused = 0
+        for (last, _), (active, factored) in zip(calls, calls[1:]):
+            assert factored == (active != last)
+            reused += active == last
+        return reused
+
     @pytest.mark.parametrize("scale", [10.0, 50.0])
-    def test_scaled_acceptance_instances_converge(self, scale):
+    def test_scaled_acceptance_instances_converge(self, scale, monkeypatch):
         # criterion 5's generator (seed 10, 65 instances) with q and c
         # scaled: the residual's rounding floor then lies above SSN_TOL, and
         # an absolute test left 2 (x10) and 56 (x50) solves unconverged
+        calls = self.factorizations(monkeypatch)
         rng = np.random.default_rng(10)
         for _ in range(65):
             n = int(rng.integers(5, 201))
@@ -289,12 +322,55 @@ class TestRepeatedClassification:
                 systems.append((active.tobytes(), rhs.tobytes()))
                 return solve(active, rhs, x0=x0)
             H.solve_principal = recorded
+            calls.clear()
             res = ssn_solve(H, q, L1Weights(c))
             assert res.converged
             assert res.residual <= ssn.repeat_tolerance(q, c, np.zeros(n))
             assert res.iters <= 6
             # no Newton system is solved twice
             assert len(set(systems)) == len(systems)
+            # no step keeps the last step's active set here (one solve
+            # returns to an earlier set, A B A', which one live factor
+            # cannot serve), and no factor outlives the solve
+            assert self.assert_no_refactor(calls) == 0
+            assert H._kept is None
+
+    def test_sign_flip_reuses_the_factor(self, monkeypatch):
+        # thresholds of very different sizes: a clamped component with a
+        # tiny threshold can change sign and stay clamped, so that a Newton
+        # step keeps its predecessor's active set (5 of these 60 instances)
+        calls = self.factorizations(monkeypatch)
+        reused = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 12))
+            H = QuadraticOperator.from_matrix(random_spd(rng, n))
+            q = rng.standard_normal(n)
+            c = rng.random(n) * 0.2
+            c[rng.random(n) < 0.3] *= 1e-4
+            calls.clear()
+            res = ssn_solve(H, q, L1Weights(c))
+            assert res.converged and H._kept is None
+            reused += self.assert_no_refactor(calls)
+            # the same bits as with a factorization per step
+            with monkeypatch.context() as m:
+                m.setattr(QuadraticOperator, "keeping_factor",
+                          contextlib.nullcontext)
+                fresh = ssn_solve(H, q, L1Weights(c))
+            assert np.array_equal(res.u, fresh.u) and res.iters == fresh.iters
+        assert reused == 5
+
+    def test_factor_lives_one_call_outside_a_solve(self, rng, monkeypatch):
+        H = random_spd_operator(rng, 20)
+        factored = []
+        factor = ssn.factor_spd
+        monkeypatch.setattr(ssn, "factor_spd",
+                            lambda csc: factored.append(1) or factor(csc))
+        active = np.arange(0, 20, 2)
+        first = H.solve_principal(active, np.ones(10))
+        second = H.solve_principal(active, np.ones(10))
+        assert len(factored) == 2 and H._kept is None
+        assert np.array_equal(first, second)
 
     def test_repeat_with_large_residual_fails(self, rng):
         # inexact principal solves, as from conjugate gradients stopped
