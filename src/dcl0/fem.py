@@ -163,21 +163,24 @@ def export_mesh(mesh: TriMesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-#: bytes that the vectorized readers take in a block of indices (ASCII
-#: digits and whitespace) and of reals (also signs, points and exponents);
-#: any other byte sends a file to the token reader
+#: the sections of a mesh file and of a field file, in file order; a section
+#: is a keyword, a count and that many rows of numbers, listed here as
+#: (keyword, numbers per row, their type)
+_MESH = (("nodes", 2, float), ("triangles", 3, int))
+_FIELD = (("field", 1, float),)
+
+#: bytes that the C walker takes in a block of indices (ASCII digits and
+#: whitespace) and of reals (also signs, points and exponents); any other
+#: byte sends a file to the token walker
 _INDEX_BYTES = b"0123456789 \t\n\r\x0b\x0c"
 _REAL_BYTES = _INDEX_BYTES + b"+-.eE"
 
 #: bytes per pass of :func:`_count_tokens`
 _TOKEN_CHUNK = 1 << 16
 
-#: a count after its keyword, then whitespace or the end of the file; a
-#: longer count is left to the token reader
-_COUNT = rb"\s+(\d{1,18})(?=\s|\Z)"
-_NODES_HEAD = re.compile(rb"\s*nodes" + _COUNT)
-_TRIANGLES_HEAD = re.compile(rb"triangles" + _COUNT)
-_FIELD_HEAD = re.compile(rb"\s*field" + _COUNT)
+#: a section keyword and its count, then whitespace or the end of the file;
+#: a longer count is left to the token walker
+_HEAD = re.compile(rb"\s*([a-z]+)\s+(\d{1,18})(?=\s|\Z)")
 
 
 def _count_tokens(block):
@@ -194,12 +197,12 @@ def _count_tokens(block):
 
 def _block_values(block, dtype, count):
     """The ``count`` numbers of the ASCII text ``block``, parsed in C with no
-    Python object per number; None unless the token reader would read the
+    Python object per number; None unless the token walker would read the
     same ``count`` values from it.
 
     On these bytes numpy's parser reads each whitespace-separated token as
     Python does or stops with a ValueError, with three exceptions, each of
-    which sends the block to the token reader: it reads a block of
+    which sends the block to the token walker: it reads a block of
     whitespace alone as one number and joins a lone sign to the next
     integer (either way the token count differs), and it saturates an
     integer beyond int64 (index blocks hold no sign, so a saturated value
@@ -221,38 +224,39 @@ def _block_values(block, dtype, count):
     return values
 
 
-def _mesh_arrays(data):
-    """``(nodes, triangles)`` of the mesh file bytes ``data`` by
-    :func:`_block_values`, or None where the token reader must decide."""
-    head = _NODES_HEAD.match(data)
-    if head is None:
-        return None
-    num_nodes = int(head.group(1))
-    # the first 'triangles' ends the node block, which has no letters but e
-    at = data.find(b"triangles", head.end())
-    tail = _TRIANGLES_HEAD.match(data, at) if at >= 0 else None
-    if tail is None or not data[at - 1:at].isspace():
-        return None
-    num_tris = int(tail.group(1))
-    nodes = _block_values(data[head.end():at], float, 2 * num_nodes)
-    tris = _block_values(data[tail.end():], int, 3 * num_tris)
-    if nodes is None or tris is None:
-        return None
-    return nodes.reshape(num_nodes, 2), tris.reshape(num_tris, 3)
+def _c_sections(data, sections):
+    """The ``(count, width)`` arrays of ``sections`` in the file bytes
+    ``data``, each number block parsed by :func:`_block_values`; None where
+    the token walker must decide."""
+    arrays, pos = [], 0
+    for k, (word, width, dtype) in enumerate(sections):
+        head = _HEAD.match(data, pos)
+        if head is None or head.group(1) != word.encode():
+            return None
+        count = int(head.group(2))
+        pos = len(data)
+        if k + 1 < len(sections):
+            # the block has no letters but e: the next keyword ends it
+            pos = data.find(sections[k + 1][0].encode(), head.end())
+            if pos < 0 or not data[pos - 1:pos].isspace():
+                return None
+        values = _block_values(data[head.end():pos], dtype, width * count)
+        if values is None:
+            return None
+        arrays.append(values.reshape(count, width))
+    return arrays
 
 
-def _mesh_arrays_from_tokens(path):
-    """``(nodes, triangles)`` of a mesh file read token by token, or the
-    :class:`MeshFormatError` that names what is wrong with it."""
-    with open(path) as fh:
-        tokens = fh.read().split()
+def _token_sections(data, sections):
+    """The ``(count, width)`` arrays of ``sections`` in the file bytes
+    ``data``, decoded as UTF-8 and read token by token, or the
+    :class:`MeshFormatError` that names what is wrong with them."""
+    try:
+        tokens = data.decode("utf-8").split()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"byte {exc.start} is not UTF-8 text "
+                              f"({exc.reason})") from None
     pos = 0
-
-    def expect(word):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != word:
-            raise MeshFormatError(f"expected '{word}' at token {pos}")
-        pos += 1
 
     def take(count, dtype):
         nonlocal pos
@@ -271,36 +275,38 @@ def _mesh_arrays_from_tokens(path):
         pos += count
         return out
 
-    def take_count(word):
-        expect(word)
+    arrays = []
+    for word, width, dtype in sections:
+        if pos >= len(tokens) or tokens[pos] != word:
+            raise MeshFormatError(f"expected '{word}' at token {pos}")
+        pos += 1
         count = int(take(1, int)[0])
         if count < 0:
             raise MeshFormatError(f"negative {word} count {count}")
-        return count
-
-    num_nodes = take_count("nodes")
-    nodes = take(2 * num_nodes, float).reshape(num_nodes, 2)
-    num_tris = take_count("triangles")
-    tris = take(3 * num_tris, int).reshape(num_tris, 3)
+        arrays.append(take(width * count, dtype).reshape(count, width))
     if pos != len(tokens):
-        raise MeshFormatError("trailing data after triangle list")
-    return nodes, tris
+        raise MeshFormatError(f"trailing data after the {word} section")
+    return arrays
+
+
+def _read_sections(path, sections):
+    """The ``(count, width)`` arrays of ``sections`` in the file ``path``,
+    read once as bytes: the C walker parses each number block of an ASCII
+    file, and whatever it does not vouch for goes to the token walker,
+    which decodes the bytes as UTF-8 whatever the locale, accepts exactly
+    the same files, gives bit-identical arrays and names the first error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    arrays = _c_sections(data, sections)
+    return _token_sections(data, sections) if arrays is None else arrays
 
 
 def import_mesh(path) -> TriMesh:
     """Read and validate a mesh in the plain-text format written by
-    :func:`export_mesh` (any whitespace between tokens; Python's ``float``
-    and ``int`` spellings of the numbers).
-
-    Each number block of an ASCII file is parsed in C
-    (:func:`_block_values`); any other file, and any block that reader does
-    not vouch for, is read token by token, which accepts exactly the same
-    files, gives bit-identical arrays and names the first error."""
-    with open(path, "rb") as fh:
-        arrays = _mesh_arrays(fh.read())
-    if arrays is None:
-        arrays = _mesh_arrays_from_tokens(path)
-    return _validate(*arrays)
+    :func:`export_mesh`: UTF-8 text of two sections, ``nodes`` and
+    ``triangles`` (any whitespace between tokens; Python's ``float`` and
+    ``int`` spellings of the numbers; see :func:`_read_sections`)."""
+    return _validate(*_read_sections(path, _MESH))
 
 
 def write_field(path, values):
@@ -312,35 +318,11 @@ def write_field(path, values):
         fh.write("\n".join(lines) + "\n")
 
 
-def _field_values_from_tokens(path):
-    """The values of a field file read token by token, or the
-    :class:`MeshFormatError` that names what is wrong with it."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2 or tokens[0] != "field":
-        raise MeshFormatError("field file must start with 'field N'")
-    try:
-        count = int(tokens[1])
-        values = np.array(tokens[2:], dtype=float)
-    except ValueError as exc:
-        raise MeshFormatError(f"bad field file: {exc}") from exc
-    if values.size != count:
-        raise MeshFormatError(f"field file announces {count} values, "
-                              f"found {values.size}")
-    return values
-
-
 def read_field(path):
-    """Read a field written by :func:`write_field`: its values parsed in C
-    as :func:`import_mesh` parses a mesh, with the same token fallback;
-    every value must be finite."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head = _FIELD_HEAD.match(data)
-    values = (None if head is None else
-              _block_values(data[head.end():], float, int(head.group(1))))
-    if values is None:
-        values = _field_values_from_tokens(path)
+    """Read a field written by :func:`write_field`: UTF-8 text of one
+    ``field`` section, read as :func:`import_mesh` reads a mesh; every
+    value must be finite."""
+    values = _read_sections(path, _FIELD)[0].ravel()
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise MeshFormatError(f"field value {bad} is not finite: {values[bad]}")

@@ -121,6 +121,21 @@ class TestPoissonCommand:
         path.write_text(text)
         assert run("poisson", "--n", "4", option, str(path)) == 1
 
+    @pytest.mark.parametrize("command, option, data, at", [
+        ("poisson", "--mesh-file",
+         b"nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 \xff2\n", 36),
+        ("poisson", "--u0-file", b"field 2\n1.0\n\xff2.0\n", 12),
+        ("control", "--y-d-file", b"field 2\n1.0\n\xff2.0\n", 12),
+    ], ids=["mesh-file", "u0-file", "y-d-file"])
+    def test_file_that_is_not_utf8_fails(self, tmp_path, capsys, command,
+                                         option, data, at):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        assert run(command, "--n", "4", option, str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"dcl0: solver failure: byte {at} is not UTF-8 text "
+            "(invalid start byte)\n")
+
     @pytest.mark.parametrize("text", ["nodes -2\n",
                                       "nodes 3\n0 0\n1 0\n0 1\ntriangles -1\n"])
     def test_negative_mesh_count_fails(self, tmp_path, capsys, text):

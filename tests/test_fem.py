@@ -178,7 +178,7 @@ class TestMeshIO:
         ("nodes 3\n0 0\n1 x\n0 1\ntriangles 1\n0 1 2\n",
          "bad value near token 2"),
         ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n7\n",
-         "trailing data after triangle list"),
+         "trailing data after the triangles section"),
         ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 3\n",
          "triangle refers to a node index out of range"),
     ], ids=["truncated", "bad-value", "trailing-data", "index-out-of-range"])
@@ -303,10 +303,12 @@ class TestMeshIO:
 
     @pytest.mark.parametrize("text", ["", "field\n", "values 1\n1.0\n"])
     def test_field_needs_its_header(self, tmp_path, text):
+        message = {"": "expected 'field' at token 0",
+                   "field\n": "file ended prematurely",
+                   "values 1\n1.0\n": "expected 'field' at token 0"}[text]
         path = tmp_path / "field.txt"
         path.write_text(text)
-        with pytest.raises(MeshFormatError,
-                           match="field file must start with 'field N'"):
+        with pytest.raises(MeshFormatError, match=message):
             read_field(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -51,9 +51,9 @@ def test_the_check_sees_unread_parameters():
                                        ("<lambda>", 3, "y")]
 
 
-def splu_calls(tree):
+def calls_named(tree, name):
     """``(enclosing function, line)`` for every call of a function named
-    ``splu``, plain or as an attribute; ``"<module>"`` at module level."""
+    ``name``, plain or as an attribute; ``"<module>"`` at module level."""
     found = []
 
     def visit(node, owner):
@@ -61,9 +61,9 @@ def splu_calls(tree):
             owner = node.name
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(
                 func, "id", None)
-            if name == "splu":
+            if called == name:
                 found.append((owner, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -72,10 +72,15 @@ def splu_calls(tree):
     return found
 
 
+def source_calls(name):
+    """``(module, enclosing function)`` for every call of ``name`` in the
+    package source."""
+    return [(path.name, owner) for path in sorted(SOURCE.glob("*.py"))
+            for owner, _ in calls_named(ast.parse(path.read_text()), name)]
+
+
 def test_one_factorization_setup():
-    calls = [(path.name, owner) for path in sorted(SOURCE.glob("*.py"))
-             for owner, _ in splu_calls(ast.parse(path.read_text()))]
-    assert calls == [("ssn.py", "factor_spd")]
+    assert source_calls("splu") == [("ssn.py", "factor_spd")]
 
 
 def test_the_check_sees_splu_calls():
@@ -87,7 +92,55 @@ def test_the_check_sees_splu_calls():
                      "        return spla.splu(a, panel_size=1)\n"
                      "def f(a):\n"
                      "    return a.splu_like(a)\n")
-    assert splu_calls(tree) == [("<module>", 3), ("m", 6)]
+    assert calls_named(tree, "splu") == [("<module>", 3), ("m", 6)]
+
+
+def test_one_number_parser():
+    # mesh and field text reach numpy's C parser through one block reader
+    assert source_calls("fromstring") == [("fem.py", "_block_values")]
+
+
+def test_the_check_sees_fromstring_calls():
+    tree = ast.parse("values = np.fromstring(data, sep=' ')\n"
+                     "def read(data):\n"
+                     "    return fromstring(data, dtype=int, sep=' ')\n")
+    assert calls_named(tree, "fromstring") == [("<module>", 1), ("read", 3)]
+
+
+def reads_not_in_bytes(tree):
+    """Lines of the calls of ``open`` that may read a file in a mode other
+    than ``"rb"``: a text read decodes in the locale's encoding.  The mode
+    is the second argument or ``mode=`` (``"r"`` without either); a mode
+    that is not a string literal counts as a read."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "open"):
+            continue
+        modes = node.args[1:2] + [kw.value for kw in node.keywords
+                                  if kw.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r")
+        mode = mode.value if isinstance(mode, ast.Constant) else "r"
+        if mode != "rb" and ("r" in mode or "+" in mode):
+            found.append(node.lineno)
+    return found
+
+
+def test_files_are_read_as_bytes():
+    assert reads_not_in_bytes(ast.parse((SOURCE / "fem.py").read_text())) == []
+
+
+def test_the_check_sees_text_reads():
+    tree = ast.parse("open(p)\n"
+                     "open(p, 'r')\n"
+                     "open(p, mode='rt')\n"
+                     "open(p, 'rb')\n"
+                     "open(p, 'w')\n"
+                     "open(p, how)\n"
+                     "open(p, 'w+b')\n"
+                     "with open(p, mode='rb') as fh, open(q) as gh:\n"
+                     "    pass\n")
+    assert sorted(reads_not_in_bytes(tree)) == [1, 2, 3, 6, 7, 8]
 
 
 #: methods whose call makes a copy of a sparse matrix

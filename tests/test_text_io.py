@@ -1,7 +1,12 @@
-"""Property tests of the mesh and field readers against the token readers
-kept here: numpy's C parser reads each number block, and whatever it cannot
-vouch for goes to a token reader, so every file must give the arrays, or the
-exception class and message, that reading token by token gives."""
+"""Property tests of the mesh and field reader against the reference token
+reader kept here: numpy's C parser reads each number block, and whatever it
+cannot vouch for goes to the reader's token walker, so every file must give
+the arrays, or the exception class and message, that the reference gives."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +21,11 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=50)
 
 
-def token_mesh_arrays(text):
-    """``(nodes, triangles)`` of a mesh file's text, token by token."""
+def token_sections(text, sections):
+    """The ``(count, width)`` arrays of the ``sections`` of a file's text,
+    token by token."""
     tokens = text.split()
     pos = 0
-
-    def expect(word):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != word:
-            raise MeshFormatError(f"expected '{word}' at token {pos}")
-        pos += 1
 
     def take(count, dtype):
         nonlocal pos
@@ -48,35 +48,23 @@ def token_mesh_arrays(text):
         pos += count
         return out
 
-    def take_count(word):
-        expect(word)
+    arrays = []
+    for word, width, dtype in sections:
+        if pos >= len(tokens) or tokens[pos] != word:
+            raise MeshFormatError(f"expected '{word}' at token {pos}")
+        pos += 1
         count = int(take(1, int)[0])
         if count < 0:
             raise MeshFormatError(f"negative {word} count {count}")
-        return count
-
-    num_nodes = take_count("nodes")
-    nodes = take(2 * num_nodes, float).reshape(num_nodes, 2)
-    num_tris = take_count("triangles")
-    tris = take(3 * num_tris, int).reshape(num_tris, 3)
+        arrays.append(take(width * count, dtype).reshape(count, width))
     if pos != len(tokens):
-        raise MeshFormatError("trailing data after triangle list")
-    return nodes, tris
+        raise MeshFormatError(f"trailing data after the {word} section")
+    return arrays
 
 
-def token_field(text):
-    """The values of a field file's text, token by token."""
-    tokens = text.split()
-    if len(tokens) < 2 or tokens[0] != "field":
-        raise MeshFormatError("field file must start with 'field N'")
-    try:
-        count = int(tokens[1])
-        values = np.array(tokens[2:], dtype=float)
-    except ValueError as exc:
-        raise MeshFormatError(f"bad field file: {exc}") from exc
-    if values.size != count:
-        raise MeshFormatError(f"field file announces {count} values, "
-                              f"found {values.size}")
+def finite_field(values):
+    """``values`` flattened, or the error of the first non-finite one."""
+    values = values.ravel()
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise MeshFormatError(f"field value {bad} is not finite: {values[bad]}")
@@ -163,6 +151,10 @@ BAD_TOKENS = ["0.5-0.3", "1_0", "1__0", "0x1p3", "0x10", "nan", "-inf",
               "triangles", "field", "١"]
 
 
+#: the section keywords of mesh and field files
+KEYWORDS = [word for word, _, _ in fem._MESH + fem._FIELD]
+
+
 @st.composite
 def malformed(draw, tokens):
     """``tokens`` with one drawn defect."""
@@ -179,7 +171,8 @@ def malformed(draw, tokens):
     elif kind == "fuse" and k + 1 < len(tokens):
         tokens[k:k + 2] = [tokens[k] + tokens[k + 1]]
     elif kind == "negative-count":
-        tokens[1 if k % 2 else tokens.index("triangles") + 1] = "-2"
+        counts = [i + 1 for i, t in enumerate(tokens) if t in KEYWORDS]
+        tokens[counts[k % len(counts)]] = "-2"
     else:
         del tokens[k]
     return tokens
@@ -193,15 +186,15 @@ def scratch_file(tmp_path_factory):
 
 def check_mesh(path, text):
     path.write_bytes(text.encode())
-    expected = outcome(
-        lambda: _validate(*token_mesh_arrays(path.read_text())))
+    expected = outcome(lambda: _validate(*token_sections(text, fem._MESH)))
     assert outcome(import_mesh, path) == expected
     return expected
 
 
 def check_field(path, text):
     path.write_bytes(text.encode())
-    expected = outcome(token_field, path.read_text())
+    expected = outcome(
+        lambda: finite_field(*token_sections(text, fem._FIELD)))
     assert outcome(read_field, path) == expected
     return expected
 
@@ -224,10 +217,17 @@ class TestMeshReader:
         path = tmp_path / "mesh.txt"
         mesh = jittered_mesh(12, seed=2)
         fem.export_mesh(mesh, path)
-        nodes, tris = fem._mesh_arrays(path.read_bytes())
+        nodes, tris = fem._c_sections(path.read_bytes(), fem._MESH)
         assert np.array_equal(nodes, mesh.nodes)
         assert np.array_equal(tris, mesh.triangles)
         assert tris.dtype == np.array([0]).dtype
+
+    def test_keyword_joined_to_a_number_ends_no_block(self):
+        # the token walker reads "1triangles" as one bad node value
+        data = b"nodes 3\n0 0\n1 0\n0 1triangles 1\n0 1 2\n"
+        assert fem._c_sections(data, fem._MESH) is None
+        assert fem._c_sections(data.replace(b"1tri", b"1 tri"),
+                               fem._MESH) is not None
 
     def test_whitespace_block_is_no_number(self):
         # numpy reads a block of whitespace alone as one number (-1.0)
@@ -262,26 +262,27 @@ class TestFieldReader:
         values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1,
                                     max_size=6))
         tokens = ["field", str(len(values))] + [repr(v) for v in values]
-        kind = data.draw(st.sampled_from(["replace", "truncate", "trailing",
-                                          "fuse", "count"]))
-        k = data.draw(st.integers(0, len(tokens) - 1))
-        if kind == "replace":
-            tokens[k] = data.draw(st.sampled_from(BAD_TOKENS))
-        elif kind == "truncate":
-            del tokens[k:]
-        elif kind == "trailing":
-            tokens.append("0.5")
-        elif kind == "fuse" and k + 1 < len(tokens):
-            tokens[k:k + 2] = [tokens[k] + tokens[k + 1]]
-        else:
-            tokens[1] = data.draw(st.sampled_from(["-1", "1.0", "x", "0"]))
+        tokens = data.draw(malformed(tokens))
         check_field(scratch_file, render(data.draw, tokens))
 
     def test_written_fields_take_the_c_parser(self, tmp_path):
         path = tmp_path / "field.txt"
         values = np.random.default_rng(4).standard_normal(50)
         fem.write_field(path, values)
-        data = path.read_bytes()
-        head = fem._FIELD_HEAD.match(data)
-        parsed = fem._block_values(data[head.end():], float, 50)
-        assert np.array_equal(parsed, values)
+        parsed, = fem._c_sections(path.read_bytes(), fem._FIELD)
+        assert parsed.shape == (50, 1)
+        assert np.array_equal(parsed.ravel(), values)
+
+    def test_reading_ignores_the_locale(self, tmp_path):
+        # U+00A0 is whitespace to str.split; an ASCII locale cannot decode it
+        path = tmp_path / "field.txt"
+        path.write_bytes("field 2\n1.0\u00a02.0\n".encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(fem.__file__).parents[1]))
+        script = ("import sys; from dcl0.fem import read_field; "
+                  "print(read_field(sys.argv[1]).tolist())")
+        result = subprocess.run([sys.executable, "-c", script, str(path)],
+                                env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert read_field(path).tolist() == [1.0, 2.0]
+        assert (result.returncode, result.stdout) == (0, "[1.0, 2.0]\n")
