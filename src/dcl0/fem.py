@@ -1,12 +1,16 @@
 """P1 triangular finite elements on the unit square (or imported meshes).
 
 Provides the structured crossed-diagonal triangulation, plain-text mesh and
-nodal-field I/O, and the assembly of the stiffness matrix, the load vector
-and, for the control problem, the mass matrix together with the
-element/patch measure vectors needed by the discrete largest-K machinery.
+nodal-field I/O (written a chunk of rows at a time), and the assembly of the
+stiffness matrix, the load vector and, for the control problem, the mass
+matrix together with the element/patch measure vectors needed by the
+discrete largest-K machinery.
 Dirichlet rows/columns are eliminated and only the free-dof matrices are
-kept; vectors crossing module boundaries are full length with zeros on the
-boundary.
+kept.  With the mass matrix, stiffness and mass share one pattern; without
+it, the stiffness stores no coupling that sums to exactly zero, so on a
+structured mesh it is the 5-point stencil, not the 7-point pattern of the
+triangulation.  Vectors crossing module boundaries are full length with
+zeros on the boundary.
 Stiffness solves use a 2-D sine transform where the free-dof stiffness is
 the 5-point Laplacian of a square grid, and a cached sparse factorization
 elsewhere.
@@ -153,14 +157,9 @@ def build_structured_mesh(n: int) -> TriMesh:
 def export_mesh(mesh: TriMesh, path):
     """Write ``mesh`` as text: ``nodes N``, one ``x y`` line per node (each
     coordinate its float ``repr``), ``triangles M`` and one ``i j k`` line
-    per triangle."""
-    lines = [f"nodes {mesh.num_nodes}"]
-    lines += [f"{x!r} {y!r}"
-              for x, y in np.asarray(mesh.nodes, dtype=float).tolist()]
-    lines.append(f"triangles {mesh.num_triangles}")
-    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    per triangle (see :func:`_write_sections`)."""
+    _write_sections(path, _MESH, (np.asarray(mesh.nodes, dtype=float),
+                                  mesh.triangles))
 
 
 #: the sections of a mesh file and of a field file, in file order; a section
@@ -168,6 +167,26 @@ def export_mesh(mesh: TriMesh, path):
 #: (keyword, numbers per row, their type)
 _MESH = (("nodes", 2, float), ("triangles", 3, int))
 _FIELD = (("field", 1, float),)
+
+#: rows that :func:`_write_sections` formats per write; it bounds the text
+#: held in memory to a few hundred kB whatever the size of the file
+_WRITE_ROWS = 1 << 12
+
+
+def _write_sections(path, sections, arrays):
+    """Write ``arrays`` as the ``sections`` of a text file: per section its
+    keyword and row count on one line, then one line per row, the ``repr``
+    of each number separated by single spaces.  The text is formatted and
+    written :data:`_WRITE_ROWS` rows at a time, with no Python object for a
+    number or a line of the rest of the file."""
+    with open(path, "w") as fh:
+        for (word, width, _), array in zip(sections, arrays):
+            fh.write(f"{word} {len(array)}\n")
+            line = " ".join(["{!r}"] * width) + "\n"
+            for start in range(0, len(array), _WRITE_ROWS):
+                rows = array[start:start + _WRITE_ROWS]
+                fh.write((line * len(rows)).format(*rows.ravel().tolist()))
+
 
 #: bytes that the C walker takes in a block of indices (ASCII digits and
 #: whitespace) and of reals (also signs, points and exponents); any other
@@ -311,11 +330,8 @@ def import_mesh(path) -> TriMesh:
 
 def write_field(path, values):
     """Write a nodal field as text: ``field N``, then one float ``repr`` per
-    line."""
-    values = np.asarray(values, dtype=float)
-    lines = [f"field {values.size}", *map(repr, values.tolist())]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    line (see :func:`_write_sections`)."""
+    _write_sections(path, _FIELD, (np.asarray(values, dtype=float).ravel(),))
 
 
 def read_field(path):
@@ -447,9 +463,10 @@ class FemSystem:
     """Assembled P1 system with Dirichlet degrees of freedom eliminated.
 
     ``A``/``M``/``b`` act on the free (interior) degrees of freedom and no
-    all-node matrix is kept; ``A`` and ``M`` share one ``indices``/``indptr``
-    pair.  ``M`` exists only where :func:`assemble` was asked for it (the
-    control problem) and is None elsewhere.  ``elem_nodes`` holds the three
+    all-node matrix is kept.  ``M`` exists only where :func:`assemble` was
+    asked for it (the control problem), and then ``A`` and ``M`` share one
+    ``indices``/``indptr`` pair; elsewhere ``M`` is None and ``A`` stores
+    no entry that is exactly zero.  ``elem_nodes`` holds the three
     node indices of each element in ascending order (int32),
     ``elem_measure`` the triangle areas, ``patch_measure`` per node the
     total area of its incident triangles, and ``basis_integral`` the
@@ -525,8 +542,10 @@ _CHUNK = 1 << 13
 def _assemble_nodes(mesh: TriMesh, g=None, keep=None, mass=True):
     """Stiffness and mass on the nodes ``keep`` (ascending; every node,
     boundary included, when None) and the load of every node:
-    ``(A, M, b_full)``, where ``A`` and ``M`` share one index pair; ``M`` is
-    None without ``mass``.
+    ``(A, M, b_full)``.  With ``mass``, ``A`` and ``M`` share one index
+    pair; without it, ``M`` is None and ``A`` stores no entry that sums to
+    exactly 0.0 (on a structured mesh, the diagonal couplings: cot 90
+    degrees = 0, where ``M`` is not zero).
 
     Stiffness and mass use the exact P1 element integrals; the load uses the
     three-point edge-midpoint rule (exact for quadratic integrands).
@@ -543,7 +562,10 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None, mass=True):
     for bit the ``keep`` block of two separate conversions.  Without
     ``mass`` the same summation runs on the real stiffness blocks alone:
     scipy's row sort compares column indices only, so it orders every row
-    alike for real and complex data, and ``A`` is the same bits.
+    alike for real and complex data, and the same pass also drops the
+    entries that sum to exactly zero.  ``A`` is then the mass system's
+    ``A`` after ``eliminate_zeros()``: every stored value the same bits,
+    only the pattern smaller.
 
     Both loops fill preallocated arrays: the first, over triangles, adds
     the load in triangle order and stores the gradients; the second, over
@@ -621,6 +643,9 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None, mass=True):
         row_of = np.repeat(position[r0:r1], np.diff(rows.indptr))
         col = position[rows.indices]
         kept = (row_of >= 0) & (col >= 0)
+        if not mass:
+            # without M, also every entry that sums to exactly 0.0
+            kept &= rows.data != 0.0
         end = nnz + np.count_nonzero(kept)
         a_data[nnz:end] = rows.data.real[kept]
         if mass:
@@ -660,7 +685,9 @@ def assemble(mesh: TriMesh, g=None, mass=True) -> FemSystem:
 
     Only the control problem reads ``M``; the Poisson commands pass
     ``mass=False`` and get a system whose ``M`` is None, with the same
-    ``A`` and ``b`` bit for bit."""
+    ``b`` and the same ``A`` less its stored zeros, bit for bit: on a
+    structured mesh its pattern is the 5-point stencil, which every
+    principal block, factorization and product of ``A`` then shares."""
     num_nodes = mesh.num_nodes
     on_boundary = np.zeros(num_nodes, dtype=bool)
     on_boundary[mesh.boundary_nodes] = True

@@ -287,6 +287,32 @@ class TestMeshIO:
             expected += "".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles)
             assert path.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("size", [0, 1, fem._WRITE_ROWS - 1,
+                                      fem._WRITE_ROWS, fem._WRITE_ROWS + 1])
+    def test_chunked_text_matches_a_whole_file_writer(self, tmp_path, size):
+        # against the text built in memory as one string, as the writers
+        # once did
+        special = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1])
+        values = np.resize(special, size)
+        path = tmp_path / "field.txt"
+        write_field(path, values)
+        expected = "\n".join([f"field {size}", *map(repr, values.tolist())])
+        assert path.read_bytes() == (expected + "\n").encode()
+
+        nodes = np.resize(special, (size, 2))
+        triangles = np.arange(3 * size).reshape(size, 3)
+        export_mesh(fem.TriMesh(nodes, triangles, None, None), path)
+        lines = [f"nodes {size}"]
+        lines += [f"{x!r} {y!r}" for x, y in nodes.tolist()]
+        lines.append(f"triangles {size}")
+        lines += [f"{i} {j} {k}" for i, j, k in triangles.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_writing_a_field_holds_no_whole_text(self, tmp_path):
+        # 2e5 values, 3.9 MB of text: only a chunk of it is held at once
+        values = np.random.default_rng(5).standard_normal(200_000)
+        assert traced_peak(write_field, tmp_path / "f.txt", values) < 4e6
+
     def test_field_bad_count(self, tmp_path):
         path = tmp_path / "field.txt"
         path.write_text("field 3\n1.0\n2.0\n")
@@ -540,11 +566,40 @@ class TestAssemblyMatchesReference:
         full = assemble(mesh, default_load)
         lean = assemble(mesh, default_load, mass=False)
         assert lean.M is None
+        # the stiffness of the mass system less its stored zeros
+        expected = full.A.copy()
+        expected.eliminate_zeros()
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(lean.A, part),
-                                  getattr(full.A, part)), part
-        assert lean.A.data.dtype == full.A.data.dtype
+                                  getattr(expected, part)), part
+            assert (getattr(lean.A, part).dtype
+                    == getattr(full.A, part).dtype), part
         assert np.array_equal(lean.b, full.b)
+        if kind == "jitter":
+            # no coupling of a jittered mesh sums to exactly zero
+            for part in ("indices", "indptr"):
+                assert np.array_equal(getattr(lean.A, part),
+                                      getattr(full.A, part)), part
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_grid_stiffness_stores_the_five_point_stencil(self, n):
+        # the diagonal couplings of the structured mesh are exactly zero
+        # (cot 90 degrees) and are not stored
+        A = assemble(build_structured_mesh(n), mass=False).A
+        m = n - 1
+        assert A.nnz == 5 * m * m - 4 * m
+        assert np.all(A.data != 0.0)
+
+    def test_grid_block_fills_less_without_stored_zeros(self):
+        mesh = build_structured_mesh(32)
+        lean = assemble(mesh, default_load, mass=False)
+        full = assemble(mesh, default_load)
+        # the free nodes outside a central disk, a block SSN may factor
+        xy = mesh.nodes[lean.free_nodes] - 0.5
+        block = np.flatnonzero(np.hypot(xy[:, 0], xy[:, 1]) > 0.25)
+        lean_lu, full_lu = (factor_spd(A[block][:, block].T)
+                            for A in (lean.A, full.A))
+        assert lean_lu.nnz < full_lu.nnz
 
     def test_all_node_matrices(self):
         # without keep, the node matrices of every node
