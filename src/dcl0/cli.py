@@ -16,8 +16,9 @@ import sys
 
 from .dc import DcError
 # w_of and largest_k_auto are not called here: perfbench/spans.py patches them
-from .fem import (MeshFormatError, assemble, build_structured_mesh,
-                  import_mesh, read_field, w_of, write_field)
+from .fem import (FemSystem, MeshFormatError, assemble,
+                  build_structured_mesh, import_mesh, read_field, w_of,
+                  write_field)
 from .measures import largest_k_auto
 from .problems import ControlConfig, control_reduced, default_load, poisson_prototype
 from .solver import (L0PenaltyConfig, penalty_sweep, scaled_gradient,
@@ -304,8 +305,8 @@ def cmd_verify(opts):
     missing = [name for name in needed if not row.get(name)]
     if missing:
         raise ConfigError(f"{opts.csv}: no {' or '.join(missing)} value")
-    system = assemble(import_mesh(opts.mesh_file) if opts.mesh_file
-                      else build_structured_mesh(int(row["n"])), mass=False)
+    system = FemSystem(import_mesh(opts.mesh_file) if opts.mesh_file
+                       else build_structured_mesh(int(row["n"])))
     ok, l0, gap = _recheck_field(opts.solution_out, system, float(row["K"]),
                                  float(row["l0"]), float(row["gap"]))
     print(f"l0 recomputed {l0:.12g} reported {row['l0']}; "

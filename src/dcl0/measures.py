@@ -49,6 +49,10 @@ DP_LIMIT = 10_000
 #: cap on (atoms x integer capacity) for the DP decision table
 DP_CELL_LIMIT = 200_000_000
 
+#: atoms per slice of the first-fit scan's tail, converted to Python floats
+#: only once the scan reaches it
+_SCAN_SLICE = 1 << 8
+
 
 class OracleLimitError(ValueError):
     """Instance is too large for the requested exact oracle."""
@@ -147,12 +151,13 @@ def _first_fit(order, lam, slack):
     # taken; none can once even the lightest atom overflows it
     w_min = float(w.min(initial=np.inf))
     extra = []
-    for k, wk in enumerate(w[head + 1:].tolist(), start=head + 1):
+    for start in range(head + 1, w.size, _SCAN_SLICE):
         if used + w_min > slack:
             break
-        if used + wk <= slack:
-            extra.append(k)
-            used += wk
+        for k, wk in enumerate(w[start:start + _SCAN_SLICE].tolist(), start):
+            if used + wk <= slack:
+                extra.append(k)
+                used += wk
     return np.concatenate([order[:head], order[extra]])
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcl0 import cli, solver
+from dcl0 import cli, fem, solver
 from dcl0.cli import build_parser, main
 from dcl0.fem import (assemble, build_structured_mesh, export_mesh,
                       read_field, write_field)
@@ -512,6 +512,28 @@ class TestVerifyCommand:
         assert run("verify", "--csv", "run.csv", "--solution-out", "u.txt",
                    option, value) == 2
 
+    @pytest.mark.parametrize("on_mesh_file", [False, True])
+    def test_assembles_no_matrix(self, tmp_path, monkeypatch, capsys,
+                                 on_mesh_file):
+        # verify reads the element arrays only; the same output as before
+        mesh_path = tmp_path / "mesh.txt"
+        export_mesh(build_structured_mesh(8), mesh_path)
+        mesh = ["--mesh-file", str(mesh_path)] if on_mesh_file else []
+        csv = tmp_path / "run.csv"
+        sol = tmp_path / "sol.txt"
+        assert run("poisson", *mesh, "--n", "8", "--csv", str(csv),
+                   "--solution-out", str(sol)) == 0
+        capsys.readouterr()
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("verify assembled a matrix")
+
+        monkeypatch.setattr(fem, "_assemble_nodes", no_assembly)
+        assert run("verify", *mesh, "--csv", str(csv),
+                   "--solution-out", str(sol)) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("l0 recomputed ") and out.endswith(": OK\n")
+
     def test_corrupted_field_fails(self, tmp_path):
         csv = tmp_path / "run.csv"
         sol = tmp_path / "sol.txt"
@@ -610,8 +632,8 @@ class TestOptionTables:
 
 
 class TestAssembledSystems:
-    """Only the control problem reads the mass matrix; the other commands
-    assemble without it."""
+    """Only the control problem reads the mass matrix; the other solving
+    commands assemble without it, and verify assembles nothing."""
 
     @pytest.fixture
     def systems(self, monkeypatch):
@@ -632,8 +654,10 @@ class TestAssembledSystems:
         assert run("sparsa", "--n", "8", "--csv", str(tmp_path / "s.csv")) == 0
         assert run("sweep", "--n", "8", "--rhos", "1e3,1e9",
                    "--csv", str(tmp_path / "w.csv")) == 0
+        assert len(systems) == 3
+        # verify reads the element arrays only and assembles no system
         assert run("verify", "--csv", csv, "--solution-out", sol) == 0
-        assert len(systems) == 4
+        assert len(systems) == 3
         assert all(system.M is None for system in systems)
         # the stiffness of a system with its mass matrix less its stored
         # zeros, and the same load

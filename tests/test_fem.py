@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ import scipy.sparse.linalg as spla
 from conftest import jittered_mesh
 from dcl0 import fem
 from dcl0.fem import (GRID_TOL, MeshFormatError, _assemble_nodes,
-                      _boundary_nodes, _grid_laplacian_solver, _validate,
+                      _boundary_nodes, _grid_laplacian_solver,
+                      _GridLaplacianSolver, _validate,
                       assemble, build_structured_mesh, export_mesh,
                       import_mesh, read_field, write_field, w_of)
 from dcl0.measures import DiscreteMeasureSpace, weighted_l0, weighted_l1
@@ -740,6 +742,23 @@ def _no_factorization(*args, **kwargs):
     raise AssertionError("unexpected sparse factorization")
 
 
+def _fft_sine_diagonal(symbol, rhs):
+    """``V diag(symbol) V`` of the 2-D sine basis by FFT, the reference the
+    dense products are checked against: each 1-D DST-I is the imaginary part
+    of a real FFT of the odd extension of length 2(m+1), scaled by -2."""
+    m = symbol.shape[0]
+
+    def dst_rows(x):
+        ext = np.zeros((m, 2 * (m + 1)))
+        ext[:, 1:m + 1] = x
+        ext[:, m + 2:] = -x[:, ::-1]
+        return np.fft.rfft(ext, axis=1).imag[:, 1:m + 1].T
+
+    y = dst_rows(dst_rows(rhs.reshape(m, m)))
+    y *= symbol / (4.0 * (m + 1) ** 2)
+    return dst_rows(dst_rows(y)).ravel()
+
+
 class TestGridSolver:
     @pytest.mark.parametrize("n", [2, 3, 16, 64])
     def test_matches_factorization(self, n, rng):
@@ -783,6 +802,55 @@ class TestGridSolver:
         shift = np.eye(m, k=1) + np.eye(m, k=-1)
         assert np.allclose(S.T @ shift @ S, np.diag(2.0 * grid.cosines),
                            rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 127, 383, 511])
+    def test_basis_is_symmetric_and_its_own_inverse(self, m):
+        V = _GridLaplacianSolver(m).basis
+        assert np.array_equal(V, V.T)
+        assert np.max(np.abs(V @ V - np.eye(m))) <= 1e-14
+
+    def test_unreduced_sine_arguments_miss_the_inverse_bound(self):
+        # the bound above holds because the arguments k l are reduced mod
+        # 2(m+1); sin(k l pi / (m+1)) taken as it stands misses it
+        m = 383
+        k = np.arange(1, m + 1)
+        V = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * (np.pi / (m + 1)))
+        assert np.max(np.abs(V @ V - np.eye(m))) > 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 15])
+    def test_matches_dense_solve(self, m, rng):
+        T = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+        A = np.kron(T, np.eye(m)) + np.kron(np.eye(m), T)
+        rhs = rng.standard_normal(m * m)
+        reference = np.linalg.solve(A, rhs)
+        x = _GridLaplacianSolver(m)(rhs)
+        assert (np.max(np.abs(x - reference))
+                <= 1e-13 * np.max(np.abs(reference)))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 127])
+    def test_sine_diagonal_matches_fft_transform(self, m, rng):
+        grid = _GridLaplacianSolver(m)
+        symbol = rng.uniform(0.5, 2.0, size=(m, m))
+        rhs = rng.standard_normal(m * m)
+        for d in (symbol, 1.0 / grid.eigenvalues):
+            reference = _fft_sine_diagonal(d, rhs)
+            x = grid.sine_diagonal(d)(rhs)
+            assert (np.max(np.abs(x - reference))
+                    <= 1e-13 * np.max(np.abs(reference)))
+        assert (np.max(np.abs(grid(rhs) - reference))
+                <= 1e-13 * np.max(np.abs(reference)))
+
+    def test_holds_basis_and_one_symbol(self):
+        # no work buffer and no m x m array besides V and the symbol of A^-1
+        m = 64
+        grid = _GridLaplacianSolver(m)
+        arrays = {name: value for name, value in vars(grid).items()
+                  if isinstance(value, np.ndarray)}
+        assert sorted(name for name, value in arrays.items()
+                      if value.size > m) == ["_inverse", "basis"]
+        assert (sum(value.nbytes for value in arrays.values())
+                == 2 * m * m * 8 + 2 * m * 8)
+        assert np.array_equal(grid._inverse, 1.0 / grid.eigenvalues)
 
     def test_rejects_jittered_mesh_of_grid_size(self, rng):
         system = assemble(jittered_mesh(24))

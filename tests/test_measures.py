@@ -9,6 +9,7 @@ from dcl0.measures import (BUDGET_RTOL, DiscreteMeasureSpace, KSelection,
                            largest_k_relaxed, largest_k_auto,
                            reformulation_gap, subgradient_largest_k,
                            weighted_l0, weighted_l1, ZERO_THRESHOLD)
+from dcl0.measures import _SCAN_SLICE, _first_fit
 
 # three-atom counterexample data: measures (1, 2, 3), values (4, 4, 3)
 LAM = np.array([1.0, 2.0, 3.0])
@@ -171,6 +172,55 @@ class TestGreedy:
             assert sel.value == (float(lam[idx] @ np.abs(x)[idx])
                                  if idx.size else 0.0)
             assert sel.weight == (float(lam[idx].sum()) if idx.size else 0.0)
+
+
+def plain_first_fit(order, lam, slack):
+    """The first-fit scan as one loop over every atom of ``order``."""
+    used, taken = 0.0, []
+    for i in order.tolist():
+        if used + lam[i] <= slack:
+            taken.append(i)
+            used += lam[i]
+    return np.array(taken, dtype=int)
+
+
+class TestFirstFit:
+    def _check(self, order, lam, slack):
+        taken = _first_fit(order, lam, slack)
+        assert np.array_equal(taken, plain_first_fit(order, lam, slack))
+
+    def test_seeded_instances(self, rng):
+        for case in range(120):
+            n = int(rng.integers(1, 3 * _SCAN_SLICE))
+            lam = [np.full(n, 1.0 / n),                           # equal
+                   (1.0 + 0.4 * (rng.random(n) - 0.5)) / n,       # jittered
+                   rng.lognormal(0.0, 2.0, n) / n][case % 3]      # spread
+            order = rng.permutation(n)
+            prefix = np.cumsum(lam[order])
+            slack = [float(prefix[-1]),                            # empty tail
+                     float(prefix[rng.integers(n)]),               # at a sum
+                     float(rng.random()) * float(prefix[-1]),
+                     0.25 * float(prefix[-1]), 0.0][case % 5]
+            self._check(order, lam, slack)
+
+    def test_equal_weights_stop_at_the_first_misfit(self):
+        n = 4 * _SCAN_SLICE
+        lam = np.full(n, 0.25)
+        for slack in (0.0, 0.25, 100.0, 100.1, 1000.0):
+            self._check(np.arange(n), lam, slack)
+
+    def test_tail_taken_across_slices(self):
+        # one misfit after the head, then small atoms that keep fitting over
+        # several slices of the scan
+        lam = np.concatenate([[0.5, 10.0], np.full(3 * _SCAN_SLICE, 1e-3)])
+        order = np.arange(lam.size)
+        taken = _first_fit(order, lam, 2.0)
+        assert taken.size > _SCAN_SLICE + 1
+        self._check(order, lam, 2.0)
+        self._check(order[::-1].copy(), lam, 2.0)
+
+    def test_empty_order(self):
+        assert _first_fit(np.array([], dtype=int), np.ones(3), 1.0).size == 0
 
 
 class TestCompleteSelection:

@@ -16,7 +16,17 @@ texts of the four structured-grid ``poisson`` runs were re-recorded once
 the mass-free stiffness stopped storing the grid's exactly-zero diagonal
 couplings: the smaller pattern orders the factorizations differently and
 moved the same kinds of cells only (gaps below 1e-16, every ``objective``
-by rho times its gap's change)."""
+by rho times its gap's change).  The texts of ``control`` were re-recorded
+once grid stiffness solves became dense products in the orthonormal sine
+basis instead of FFT sine transforms; the new rounding moved these cells
+only, in both BLAS thread counts 1 and 2:
+
+- summary ``gap``: 3.5527136788e-15 -> 1.7763568394e-15;
+- iteration rows 0 and 1, ``gap``: 3.5527136788e-15 -> 1.7763568394e-15;
+- iteration rows 0 and 1, ``objective`` (carries rho * gap):
+  0.0205262896609 -> 0.0205245133041;
+- iteration rows 0 and 1, ``ssn_residual``:
+  3.03043719879e-20 -> 2.71050543121e-20."""
 
 import numpy as np
 import pytest
@@ -136,11 +146,11 @@ k,K_k,objective,gap,newton_iters,ssn_residual
 """),
     "control": (["control", "--n", "8"], """\
 n,K,rho,alpha,beta,f,l0,gap,tracking_error,dc_iters,ssn_iters,selection_mode
-8,0.25,1000000000,1e-07,1e-07,0.0205227369472,0.09375,3.5527136788e-15,0.1711505124,2,1,exact
+8,0.25,1000000000,1e-07,1e-07,0.0205227369472,0.09375,1.7763568394e-15,0.1711505124,2,1,exact
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
-0,0.25,0.0205262896609,3.5527136788e-15,1,3.03043719879e-20
-1,0.25,0.0205262896609,3.5527136788e-15,0,3.03043719879e-20
+0,0.25,0.0205245133041,1.7763568394e-15,1,2.71050543121e-20
+1,0.25,0.0205245133041,1.7763568394e-15,0,2.71050543121e-20
 """),
     "sparsa": (["sparsa", "--n", "8"], """\
 n,K,beta,f,l0,gap,iters
