@@ -11,10 +11,12 @@ it, the stiffness stores no coupling that sums to exactly zero, so on a
 structured mesh it is the 5-point stencil, not the 7-point pattern of the
 triangulation.  Vectors crossing module boundaries are full length with
 zeros on the boundary.
-Stiffness solves use dense BLAS-3 products in the 2-D sine basis where the
-free-dof stiffness is the 5-point Laplacian of an m x m grid (O(m^3), yet
-faster than an FFT up to about m = 1000), and a cached sparse factorization
-elsewhere.
+A mesh knows whether it is :func:`build_structured_mesh`'s grid
+(``TriMesh.grid_n``): built by it, or imported from a file that holds
+exactly its nodes and triangles.  Stiffness solves use dense BLAS-3
+products in the 2-D sine basis on that grid (O(m^3) for its m x m interior
+nodes, yet faster than an FFT up to about m = 1000), and a cached sparse
+factorization on any other mesh.
 """
 
 from __future__ import annotations
@@ -41,12 +43,6 @@ __all__ = [
     "w_of",
 ]
 
-#: entrywise tolerance within which a free-dof stiffness matrix counts as the
-#: 5-point Laplacian of a square grid; assembly on a structured mesh is off by
-#: rounding only (8.9e-16 on the diagonal at n = 384)
-GRID_TOL = 1e-12
-
-
 class MeshFormatError(ValueError):
     """Raised for malformed mesh/field files or invalid mesh data."""
 
@@ -54,12 +50,14 @@ class MeshFormatError(ValueError):
 @dataclass
 class TriMesh:
     """Conforming triangulation: node coordinates, triangle connectivity and
-    boundary node set."""
+    boundary node set.  ``grid_n`` is n where the nodes and triangles are
+    exactly those of ``build_structured_mesh(n)``, else None."""
 
     nodes: np.ndarray           # (N, 2) coordinates
     triangles: np.ndarray       # (m, 3) node indices, positive orientation
     boundary_nodes: np.ndarray  # sorted indices of nodes on the boundary
     areas: np.ndarray           # (m,) triangle areas, all positive
+    grid_n: int | None = None
 
     @property
     def num_nodes(self):
@@ -106,7 +104,7 @@ def _boundary_nodes(triangles, num_nodes):
     return np.unique(np.concatenate([single // num_nodes, single % num_nodes]))
 
 
-def _validate(nodes, triangles):
+def _validate(nodes, triangles, grid_n=None):
     num_nodes = nodes.shape[0]
     finite = np.isfinite(nodes).all(axis=1)
     if not finite.all():
@@ -133,26 +131,52 @@ def _validate(nodes, triangles):
         raise MeshFormatError("mesh contains nodes not used by any triangle")
     return TriMesh(nodes=nodes, triangles=triangles,
                    boundary_nodes=_boundary_nodes(triangles, num_nodes),
-                   areas=areas)
+                   areas=areas, grid_n=grid_n)
 
 
-def build_structured_mesh(n: int) -> TriMesh:
-    """Uniform n x n grid on the unit square, each cell split along the
-    lower-left to upper-right diagonal: (n+1)^2 nodes, 2 n^2 triangles."""
-    if n < 2:
-        raise ValueError("need at least a 2 x 2 grid")
+def _grid_layout(n):
+    """Yield the nodes, then the triangles, of the uniform n x n grid on the
+    unit square: node ``j (n+1) + i`` at ``(i/n, j/n)``, and cell (i, j)
+    split along its lower-left to upper-right diagonal into triangles
+    ``2 (j n + i)`` and ``2 (j n + i) + 1``.  The triangles are built only
+    when asked for."""
     coords = np.arange(n + 1) / n
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
-    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+    yield np.column_stack([xx.ravel(), yy.ravel()])
 
-    # cell (i, j) holds triangles 2 (j n + i) and 2 (j n + i) + 1
     j, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     v00 = (j * (n + 1) + i).ravel()
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     lower = np.column_stack([v00, v10, v11])
     upper = np.column_stack([v00, v11, v01])
-    tris = np.stack([lower, upper], axis=1).reshape(-1, 3)
-    return _validate(nodes, tris)
+    yield np.stack([lower, upper], axis=1).reshape(-1, 3)
+
+
+def _grid_size(nodes, triangles):
+    """n where ``nodes`` and ``triangles`` equal those of
+    ``build_structured_mesh(n)`` exactly, else None.  The counts are checked
+    first, then the nodes, and only then are the grid's triangles built."""
+    n = math.isqrt(len(nodes)) - 1
+    if n < 2 or len(nodes) != (n + 1) ** 2 or len(triangles) != 2 * n * n:
+        return None
+    layout = _grid_layout(n)
+    if (np.array_equal(nodes, next(layout))
+            and np.array_equal(triangles, next(layout))):
+        return n
+    return None
+
+
+def build_structured_mesh(n: int) -> TriMesh:
+    """Uniform n x n grid on the unit square, each cell split along the
+    lower-left to upper-right diagonal: (n+1)^2 nodes, 2 n^2 triangles
+    (see :func:`_grid_layout`); its ``grid_n`` is n."""
+    if n < 2:
+        raise ValueError("need at least a 2 x 2 grid")
+    # the layout's temporaries stay alive through _validate, as when it was
+    # built inline: freed before it, they left 13 MB more resident after the
+    # build at n = 384 and raised the Poisson solve's peak RSS by 1.5 MB
+    layout = _grid_layout(n)
+    return _validate(next(layout), next(layout), grid_n=n)
 
 
 def export_mesh(mesh: TriMesh, path):
@@ -325,8 +349,11 @@ def import_mesh(path) -> TriMesh:
     """Read and validate a mesh in the plain-text format written by
     :func:`export_mesh`: UTF-8 text of two sections, ``nodes`` and
     ``triangles`` (any whitespace between tokens; Python's ``float`` and
-    ``int`` spellings of the numbers; see :func:`_read_sections`)."""
-    return _validate(*_read_sections(path, _MESH))
+    ``int`` spellings of the numbers; see :func:`_read_sections`).  Its
+    ``grid_n`` is set where the file holds exactly the nodes and triangles
+    of :func:`build_structured_mesh` (:func:`_grid_size`)."""
+    nodes, triangles = _read_sections(path, _MESH)
+    return _validate(nodes, triangles, _grid_size(nodes, triangles))
 
 
 def write_field(path, values):
@@ -348,7 +375,9 @@ def read_field(path):
 
 class _GridLaplacianSolver:
     """Solver of ``A x = rhs`` for the 5-point Laplacian ``A = T (+) T`` of
-    an ``m x m`` grid, ``T = tridiag(-1, 2, -1)``, on row-major vectors.
+    an ``m x m`` grid, ``T = tridiag(-1, 2, -1)``, on row-major vectors: the
+    free-dof stiffness on ``build_structured_mesh(m + 1)``'s grid, whose
+    interior nodes it orders as :func:`_grid_layout` does.
 
     ``basis`` is the orthonormal sine basis ``V[k-1, l-1] = sqrt(2/(m+1))
     sin(k l pi / (m+1))``, ``k l`` reduced mod ``2(m+1)`` (``|V V - I|`` is
@@ -393,65 +422,6 @@ class _GridLaplacianSolver:
         return lambda rhs: self._apply(symbol, rhs)
 
 
-#: rows of ``A`` whose stencil :func:`_is_grid_laplacian` checks per pass;
-#: it bounds that check's temporaries to a few hundred kB
-_STENCIL_ROWS = 1 << 12
-
-
-def _is_grid_laplacian(A, m):
-    """Whether the CSR matrix ``A`` of order ``n = m^2`` equals the 5-point
-    Laplacian ``T (+) T``, ``T = tridiag(-1, 2, -1)`` of order ``m``, to
-    within :data:`GRID_TOL` per entry.
-
-    The stencil is read off the CSR arrays a block of rows at a time: row
-    ``r`` holds 4 at column ``r``, -1 at ``r +- m`` and -1 at ``r +- 1``
-    within its grid row.  Every stored entry must lie within the tolerance
-    of that value (0 off the stencil), and every stencil entry must be
-    stored.
-    """
-    n = m * m
-    if not A.has_canonical_format:
-        # one stored entry per position, so that counting entries below
-        # counts stencil positions
-        A = A.copy()
-        A.sum_duplicates()
-    on_stencil = 0
-    for start in range(0, n, _STENCIL_ROWS):
-        stop = min(start + _STENCIL_ROWS, n)
-        lo, hi = A.indptr[start], A.indptr[stop]
-        rows = np.repeat(np.arange(start, stop),
-                         np.diff(A.indptr[start:stop + 1]))
-        step = A.indices[lo:hi] - rows
-        col = rows % m
-        neighbour = ((np.abs(step) == m) | ((step == 1) & (col != m - 1))
-                     | ((step == -1) & (col != 0)))
-        stencil = np.where(neighbour, -1.0, np.where(step == 0, 4.0, 0.0))
-        if not np.all(np.abs(A.data[lo:hi] - stencil) <= GRID_TOL):
-            return False
-        on_stencil += np.count_nonzero(stencil)
-    # n diagonal and 4 m (m - 1) neighbour entries
-    return on_stencil == 5 * n - 4 * m
-
-
-def _grid_laplacian_solver(A):
-    """:class:`_GridLaplacianSolver` for ``A`` when ``A`` equals the 5-point
-    Laplacian of a square grid to within :data:`GRID_TOL` per entry (the
-    free-dof stiffness of :func:`build_structured_mesh`), otherwise None.
-    A mesh without interior nodes has a 0 x 0 stiffness and no grid.
-
-    The size and the diagonal are checked before the whole stencil is, by
-    :func:`_is_grid_laplacian` without a copy of ``A``.
-    """
-    A = sp.csr_matrix(A)
-    n = A.shape[0]
-    m = math.isqrt(n)
-    if (n == 0 or m * m != n
-            or not np.all(np.abs(A.diagonal() - 4.0) <= GRID_TOL)
-            or not _is_grid_laplacian(A, m)):
-        return None
-    return _GridLaplacianSolver(m)
-
-
 @dataclass
 class FemSystem:
     """Assembled P1 system with Dirichlet degrees of freedom eliminated.
@@ -479,8 +449,7 @@ class FemSystem:
     basis_integral: np.ndarray = field(init=False)
     free_nodes: np.ndarray = field(init=False)
     _stiffness_lu: object = field(default=None, repr=False)
-    # None: not checked yet; False: A is not a grid Laplacian
-    _grid: object = field(default=None, repr=False)
+    _grid: _GridLaplacianSolver | None = field(default=None, repr=False)
 
     def __post_init__(self):
         mesh = self.mesh
@@ -522,15 +491,17 @@ class FemSystem:
                            minlength=self.mesh.num_nodes)
 
     def grid_solver(self):
-        """Sine-basis solver of ``A x = rhs`` when ``A`` is the 5-point
-        Laplacian of a square grid, else None; detected on the first call."""
-        if self._grid is None:
-            self._grid = _grid_laplacian_solver(self.A) or False
-        return self._grid or None
+        """Sine-basis solver of ``A x = rhs`` on
+        :func:`build_structured_mesh`'s grid (``mesh.grid_n`` set), else
+        None; built on the first call."""
+        if self._grid is None and self.mesh.grid_n is not None:
+            self._grid = _GridLaplacianSolver(self.mesh.grid_n - 1)
+        return self._grid
 
     def stiffness_solve(self, rhs):
-        """Solve ``A x = rhs`` on the free dofs: in the sine basis on a
-        square grid, otherwise with a cached factorization."""
+        """Solve ``A x = rhs`` on the free dofs: in the sine basis on
+        :func:`build_structured_mesh`'s grid, otherwise with a cached
+        factorization."""
         rhs = np.asarray(rhs, dtype=float)
         grid = self.grid_solver()
         if grid is not None:

@@ -97,9 +97,9 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
 
     with the desired state interpolated at the nodes.  Gradients come from
     the adjoint equation; the Hessian action costs two stiffness solves
-    (see :meth:`~dcl0.fem.FemSystem.stiffness_solve`).  On a square grid
-    its principal solves are preconditioned by
-    :func:`_grid_hessian_inverse`.
+    (see :meth:`~dcl0.fem.FemSystem.stiffness_solve`).  On
+    :func:`~dcl0.fem.build_structured_mesh`'s grid its principal solves are
+    preconditioned by :func:`_grid_hessian_inverse`.
     """
     cfg = cfg or ControlConfig()
     A, M = system.A, system.M
@@ -146,9 +146,9 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
 
 def _grid_hessian_inverse(system: FemSystem, cfg: ControlConfig):
     """Sine-basis approximate inverse of the reduced Hessian
-    ``H = M A^-1 M A^-1 M + alpha M + beta A`` when ``A`` is the 5-point
-    Laplacian of a square grid (see :meth:`~dcl0.fem.FemSystem.grid_solver`),
-    otherwise None.
+    ``H = M A^-1 M A^-1 M + alpha M + beta A`` on
+    :func:`~dcl0.fem.build_structured_mesh`'s grid (see
+    :meth:`~dcl0.fem.FemSystem.grid_solver`), otherwise None.
 
     The sine basis diagonalizes ``A`` exactly (eigenvalues ``lam``).  On
     the grid's triangulation (every cell cut along one diagonal) the P1

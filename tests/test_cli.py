@@ -675,3 +675,54 @@ class TestAssembledSystems:
         assert run("control", "--n", "8",
                    "--csv", str(tmp_path / "c.csv")) == 0
         assert len(systems) == 1 and systems[0].M is not None
+
+
+class TestExportedGrid:
+    """An exported grid read through --mesh-file is the grid: the same
+    sine-basis solves, so the same bytes as the --n run, except the summary
+    CSV's n, which a mesh-file row leaves empty."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("poisson", ["--schedule", "0.9", "--iters-csv", "{out}/iters.csv",
+                     "--solution-out", "{out}/u.txt",
+                     "--multiplier-out", "{out}/mu.txt", "--verify"]),
+        ("control", ["--beta", "1e-7,1e-9", "--iters-csv", "{out}/iters.csv",
+                     "--solution-out", "{out}/u.txt",
+                     "--multiplier-out", "{out}/mu.txt", "--verify"]),
+        ("sweep", ["--rhos", "1e3,1e9", "--solution-out", "{out}/u.txt"]),
+        ("sparsa", ["--solution-out", "{out}/u.txt",
+                    "--multiplier-out", "{out}/mu.txt", "--verify"]),
+    ])
+    def test_same_bytes_as_the_grid(self, tmp_path, capsys, monkeypatch,
+                                    command, extra):
+        meshes = []
+        original = cli.assemble
+
+        def recorded(mesh, *args, **kwargs):
+            meshes.append(mesh)
+            return original(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "assemble", recorded)
+        mesh_path = tmp_path / "mesh.txt"
+        export_mesh(build_structured_mesh(16), mesh_path)
+        outputs = {}
+        for name, mesh in (("grid", ["--n", "16"]),
+                           ("file", ["--mesh-file", str(mesh_path)])):
+            out = tmp_path / name
+            out.mkdir()
+            argv = [arg.format(out=out) for arg in extra]
+            assert run(command, *mesh, "--csv", str(out / "run.csv"),
+                       *argv) == 0
+            outputs[name] = ({path.name: path.read_text()
+                              for path in out.iterdir()},
+                             capsys.readouterr())
+        assert [mesh.grid_n for mesh in meshes] == [16, 16]
+        (grid_files, grid_std), (file_files, file_std) = outputs.values()
+        assert grid_std == file_std
+        grid_csv = grid_files.pop("run.csv").splitlines()
+        file_csv = file_files.pop("run.csv").splitlines()
+        assert all(line.startswith("16,") for line in grid_csv[1:])
+        assert file_csv == [grid_csv[0]] + [line[2:] for line in grid_csv[1:]]
+        assert sorted(grid_files) == sorted(
+            arg.split("/")[-1] for arg in extra if arg.startswith("{out}"))
+        assert file_files == grid_files

@@ -10,8 +10,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import jittered_mesh
 from dcl0 import fem
-from dcl0.fem import (GRID_TOL, MeshFormatError, _assemble_nodes,
-                      _boundary_nodes, _grid_laplacian_solver,
+from dcl0.fem import (MeshFormatError, _assemble_nodes, _boundary_nodes,
                       _GridLaplacianSolver, _validate,
                       assemble, build_structured_mesh, export_mesh,
                       import_mesh, read_field, write_field, w_of)
@@ -868,70 +867,10 @@ class TestGridSolver:
         system = assemble(_validate(nodes, mesh.triangles))
         assert system.grid_solver() is None
 
-    def test_stencil_check_allocates_no_copy(self):
-        # the check reads A's arrays a block of rows at a time: the traced
-        # peak, the returned solver included, stays under half of A's own
-        # bytes (a check through kronsum and A - K traced about 3 times them)
-        A = assemble(build_structured_mesh(256)).A
-        own = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-        assert traced_peak(_grid_laplacian_solver, A) <= 0.5 * own
-
-    @pytest.mark.parametrize("change", [
-        "none", "rounding", "off-stencil-small", "off-stencil-large",
-        "drop-neighbour", "wrap-neighbour", "duplicate-split", "scaled"])
-    def test_decisions_match_kronsum_difference(self, change):
-        # the stencil check against the explicit difference A - (T (+) T)
-        A = assemble(build_structured_mesh(9)).A.tolil()
-        m = 8
-        if change == "rounding":
-            A[10, 11] = A[10, 11] + 5e-13
-        elif change == "off-stencil-small":
-            A[0, 40] = 1e-13
-        elif change == "off-stencil-large":
-            A[0, 40] = 1e-9
-        elif change == "drop-neighbour":
-            A[m, 0] = 0.0
-        elif change == "wrap-neighbour":
-            # row m - 1 ends a grid row: its r + 1 is no neighbour
-            A[m - 1, m] = A[m, m - 1] = -1.0
-        elif change == "scaled":
-            A = A * (1.0 + 1e-10)
-        A = sp.csr_matrix(A)
-        if change == "drop-neighbour":
-            A.eliminate_zeros()
-        if change == "duplicate-split":
-            # a neighbour entry stored twice, as two halves
-            k = A.indptr[20] + np.flatnonzero(
-                A.indices[A.indptr[20]:A.indptr[21]] == 21)[0]
-            data = np.insert(A.data, k, -0.5)
-            data[k + 1] = -0.5
-            indptr = A.indptr.copy()
-            indptr[21:] += 1
-            A = sp.csr_matrix((data, np.insert(A.indices, k, 21), indptr),
-                              shape=A.shape)
-            assert not A.has_canonical_format
-        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
-        diff = sp.csr_matrix(A - sp.kronsum(T, T, format="csr"))
-        expected = bool(np.all(np.abs(diff.data) <= GRID_TOL))
-        assert (_grid_laplacian_solver(A) is not None) == expected
-        assert expected == (change in ("none", "rounding",
-                                       "off-stencil-small", "duplicate-split"))
-
-    def test_rejects_off_diagonal_change(self):
-        # the diagonal is exactly 4, only the full stencil check can tell
-        A = assemble(build_structured_mesh(16)).A.copy()
-        A[0, 1] = A[1, 0] = -1.0 + 1e-9
-        assert _grid_laplacian_solver(A) is None
-
-    def test_accepts_rounding_level_stencil(self, rng):
-        A = assemble(build_structured_mesh(16)).A.copy()
-        A.data += 1e-15 * rng.choice([-1.0, 1.0], size=A.data.size)
-        assert _grid_laplacian_solver(A) is not None
-
     def test_grid_solves_do_not_factor(self, monkeypatch, rng):
         system = assemble(build_structured_mesh(16), default_load)
         problem = poisson_prototype(system)
-        assert system._grid is None  # nothing detected at construction
+        assert system._grid is None  # built on the first call
         monkeypatch.setattr(spla, "splu", _no_factorization)
         u = system.restrict(problem.unconstrained_minimizer())
         assert (np.linalg.norm(system.A @ u - system.b)
@@ -946,3 +885,130 @@ class TestGridSolver:
                 <= 1e-12 * np.linalg.norm(system.b))
         assert system._stiffness_lu is None
         assert system.grid_solver() is None
+
+
+def _other_diagonal(mesh):
+    """The grid's cells cut along the upper-left to lower-right diagonal:
+    the same nodes and the same 5-point free-dof stiffness."""
+    lower, upper = mesh.triangles[0::2], mesh.triangles[1::2]
+    v00, v10, v11, v01 = lower[:, 0], lower[:, 1], lower[:, 2], upper[:, 2]
+    tris = np.stack([np.column_stack([v00, v10, v01]),
+                     np.column_stack([v10, v11, v01])], axis=1)
+    return mesh.nodes, tris.reshape(-1, 3)
+
+
+def _moved_by_one_ulp(mesh):
+    nodes = mesh.nodes.copy()
+    nodes[8 * 17 + 8, 0] = np.nextafter(nodes[8 * 17 + 8, 0], 1.0)
+    return nodes, mesh.triangles
+
+
+def _reordered_triangles(mesh):
+    order = np.random.default_rng(5).permutation(mesh.num_triangles)
+    return mesh.nodes, mesh.triangles[order]
+
+
+def _rotated_vertices(mesh):
+    # the same counterclockwise triangles, each starting at its second vertex
+    return mesh.nodes, mesh.triangles[:, [1, 2, 0]]
+
+
+def _renumbered(mesh):
+    new = np.random.default_rng(6).permutation(mesh.num_nodes)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[new] = mesh.nodes
+    return nodes, new[mesh.triangles]
+
+
+def _jittered(mesh):
+    other = jittered_mesh(16)
+    return other.nodes, other.triangles
+
+
+class TestGridSize:
+    """``TriMesh.grid_n`` is n exactly where the nodes and triangles are
+    ``build_structured_mesh(n)``'s, and only then is there a grid solver."""
+
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        # the shape of every part of the grid layout that is built
+        built = []
+        original = fem._grid_layout
+
+        def recorded(n):
+            for part in original(n):
+                built.append(part.shape)
+                yield part
+
+        monkeypatch.setattr(fem, "_grid_layout", recorded)
+        return built
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_structured_mesh_knows_its_size(self, n):
+        mesh = build_structured_mesh(n)
+        assert mesh.grid_n == n
+        assert assemble(mesh).grid_solver().m == n - 1
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_exported_grid_keeps_its_size(self, tmp_path, n, layouts):
+        path = tmp_path / "mesh.txt"
+        export_mesh(build_structured_mesh(n), path)
+        layouts.clear()
+        mesh = import_mesh(path)
+        assert mesh.grid_n == n
+        assert layouts == [((n + 1) ** 2, 2), (2 * n * n, 3)]
+        assert assemble(mesh).grid_solver().m == n - 1
+
+    def test_cached_solver(self):
+        system = assemble(build_structured_mesh(8))
+        assert system.grid_solver() is system.grid_solver()
+
+    @pytest.mark.parametrize("variant", [
+        _jittered, _moved_by_one_ulp, _reordered_triangles, _rotated_vertices,
+        _renumbered, _other_diagonal])
+    def test_other_meshes_factor(self, tmp_path, variant, rng):
+        nodes, triangles = variant(build_structured_mesh(16))
+        path = tmp_path / "mesh.txt"
+        export_mesh(_validate(nodes, triangles), path)
+        mesh = import_mesh(path)
+        assert mesh.grid_n is None
+        system = assemble(mesh)
+        assert system.grid_solver() is None
+        rhs = rng.standard_normal(system.num_free)
+        x = system.stiffness_solve(rhs)
+        assert system._stiffness_lu is not None
+        assert (np.linalg.norm(system.A @ x - rhs)
+                <= 1e-12 * np.linalg.norm(rhs))
+
+    def test_other_diagonal_has_the_grid_stiffness(self):
+        # a mesh that only matches the stencil gets no grid solver
+        mesh = build_structured_mesh(16)
+        other = assemble(_validate(*_other_diagonal(mesh)), mass=False)
+        assert other.mesh.grid_n is None
+        assert np.array_equal(other.A.toarray(),
+                              assemble(mesh, mass=False).A.toarray())
+
+    def test_rebuilt_grid_has_no_size(self):
+        mesh = build_structured_mesh(16)
+        rebuilt = _validate(mesh.nodes, mesh.triangles)
+        assert rebuilt.grid_n is None
+        assert assemble(rebuilt).grid_solver() is None
+        assert jittered_mesh(24).grid_n is None
+
+    def test_jittered_file_stops_at_the_nodes(self, tmp_path, layouts):
+        path = tmp_path / "mesh.txt"
+        export_mesh(jittered_mesh(24), path)
+        layouts.clear()
+        assert import_mesh(path).grid_n is None
+        assert layouts == [(25 ** 2, 2)]
+
+    @pytest.mark.parametrize("text", [
+        "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n",
+        "nodes 4\n0 0\n1 0\n0 1\n1 1\ntriangles 2\n0 1 3\n0 3 2\n"])
+    def test_no_grid_below_two_cells(self, tmp_path, text, layouts):
+        # four nodes and two triangles are a 1 x 1 grid, which
+        # build_structured_mesh refuses
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        assert import_mesh(path).grid_n is None
+        assert layouts == []
