@@ -30,7 +30,6 @@ __all__ = [
     "largest_k_exact",
     "largest_k_relaxed",
     "largest_k_auto",
-    "reformulation_gap",
     "subgradient_largest_k",
 ]
 
@@ -364,13 +363,6 @@ def largest_k_auto(x, space: DiscreteMeasureSpace, budget) -> KSelection:
         return largest_k_exact(x, space, budget)
     except OracleLimitError:
         return largest_k_greedy(x, space, budget)
-
-
-def reformulation_gap(x, space: DiscreteMeasureSpace, budget) -> float:
-    """Gap ``l1 - largest_k``; zero exactly when the support measure fits
-    the budget (nonnegative whenever the exact oracle was used)."""
-    sel = largest_k_auto(x, space, budget)
-    return weighted_l1(x, space) - sel.value
 
 
 def subgradient_largest_k(x, space: DiscreteMeasureSpace,

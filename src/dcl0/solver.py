@@ -115,7 +115,7 @@ class L0Solution:
 
     def max_ascent_at_target(self, K):
         """Largest objective increase between consecutive iterations whose
-        budget already equals the target K."""
+        budget already equals the target K; ``perfbench/ops.py`` reads it."""
         vals = [row.objective for row in self.history if row.K == K]
         if len(vals) < 2:
             return 0.0

@@ -9,8 +9,7 @@ condition is written as the projected residual
     F_tau(u) = g(u) - clip(g(u) - u/tau, -c, c) = 0,   g(u) = Hu - q - t,
 
 and solved by a semismooth Newton active-set method that takes tau from
-each iterate; an independent proximal-gradient fixed-point iteration serves
-as a cross-check oracle.
+each iterate.
 
 The tilt is kept separate from q on purpose: where a component of the tilt
 equals the corresponding L1 bound (the common case in the DC iteration,
@@ -21,7 +20,6 @@ at rounding level even for penalty factors around 1e9.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +31,10 @@ __all__ = [
     "QuadraticOperator",
     "L1Weights",
     "SsnError",
-    "f_tau_residual",
     "default_tau",
     "ssn_solve",
     "repeat_tolerance",
     "SsnResult",
-    "prox_grad_oracle",
 ]
 
 TAU_FLOOR = 1e-16
@@ -110,8 +106,7 @@ class QuadraticOperator:
     ``P[active, active]`` (zero-extend, apply, restrict), which is again
     symmetric positive definite; the stopping tolerance is unchanged.
 
-    A principal factor lives for one :meth:`solve_principal` call, or
-    within :meth:`keeping_factor` until a call on another active set.
+    A principal factor lives for one :meth:`solve_principal` call.
     """
 
     def __init__(self, apply, n, explicit=None, full_solver=None,
@@ -121,30 +116,12 @@ class QuadraticOperator:
         self.explicit = explicit
         self.full_solver = full_solver
         self.preconditioner = preconditioner
-        # inside keeping_factor, the (active, block, factor) of the last
-        # principal solve
-        self._keeping = False
-        self._kept = None
 
     @classmethod
     def from_matrix(cls, H, full_solver=None):
         H = sp.csr_matrix(H)
         return cls(apply=lambda u: H @ u, n=H.shape[0], explicit=H,
                    full_solver=full_solver)
-
-    @contextmanager
-    def keeping_factor(self):
-        """Within the ``with`` block, :meth:`solve_principal` keeps the
-        factor of its last principal block and solves the next system on
-        the same active set with it; the factor is dropped before another
-        block is factored and when the block ends, so at most one is alive
-        and none outlives the block."""
-        self._keeping = True
-        try:
-            yield
-        finally:
-            self._keeping = False
-            self._kept = None
 
     def solve_principal(self, active, rhs, x0=None):
         """Solve ``H[active, active] x = rhs`` for the active index set."""
@@ -158,20 +135,12 @@ class QuadraticOperator:
             if solve is not None:
                 return solve(rhs)
         if self.explicit is not None:
-            kept = self._kept
-            if kept is not None and np.array_equal(kept[0], active):
-                _, sub, lu = kept
-            else:
-                # drop the last factor before the next one is made
-                self._kept = kept = None
-                sub = self.explicit[active][:, active]
-                try:
-                    # sub is exactly symmetric, so its CSC view sub.T is sub
-                    lu = factor_spd(sub.T)
-                except RuntimeError as exc:
-                    raise SsnError(f"singular principal system: {exc}") from exc
-                if self._keeping:
-                    self._kept = active, sub, lu
+            sub = self.explicit[active][:, active]
+            try:
+                # sub is exactly symmetric, so its CSC view sub.T is sub
+                lu = factor_spd(sub.T)
+            except RuntimeError as exc:
+                raise SsnError(f"singular principal system: {exc}") from exc
             x = lu.solve(rhs)
             x += lu.solve(rhs - sub @ x)
             return x
@@ -196,7 +165,8 @@ class QuadraticOperator:
         return x
 
     def norm_estimate(self, iters=60, seed=0):
-        """Largest-eigenvalue estimate by power iteration."""
+        """Largest-eigenvalue estimate by power iteration; nothing in dcl0
+        calls it, ``perfbench/spans.py`` wraps it."""
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(self.n)
         v /= np.linalg.norm(v)
@@ -242,18 +212,6 @@ def _residual_parts(u, base_g, tilt, c, tau):
     shift[active] = tilt[active] + np.sign(z[active]) * c[active]
     F[active] = base_g[active] - shift[active]
     return F, inactive, shift
-
-
-def f_tau_residual(u, H: QuadraticOperator, q, weights: L1Weights, tau,
-                   tilt=None):
-    """Projected optimality residual of the weighted-L1 quadratic problem."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    u = np.asarray(u, dtype=float)
-    tilt = np.zeros_like(u) if tilt is None else tilt
-    base_g = H.apply(u) - q
-    F, _, _ = _residual_parts(u, base_g, tilt, weights.c, tau)
-    return F
 
 
 def default_tau(u, weights: L1Weights):
@@ -304,9 +262,8 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
       :func:`repeat_tolerance`, a failure otherwise;
     - or follows :data:`MAX_NEWTON` steps (a failure).
 
-    A step whose active index set repeats the last one's with other clamp
-    signs solves with the factor already made (:meth:`QuadraticOperator.
-    keeping_factor`); no factor outlives the call.
+    Each step on an explicit Hessian factors its principal block once; the
+    factor lives for that one :meth:`QuadraticOperator.solve_principal` call.
     """
     q = np.asarray(q, dtype=float)
     c = weights.c
@@ -315,52 +272,28 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
     tilt = np.zeros(n) if tilt is None else np.asarray(tilt, dtype=float)
 
     previous = None
-    with H.keeping_factor():
-        for iters in range(MAX_NEWTON + 1):
-            base_g = H.apply(u) - q
-            F, inactive, shift = _residual_parts(u, base_g, tilt, c,
-                                                 default_tau(u, weights))
-            res = float(np.linalg.norm(F))
-            # the inactive set and the clamped values fix the Newton system
-            repeated = (previous is not None
-                        and np.array_equal(inactive, previous[0])
-                        and np.array_equal(shift, previous[1]))
-            if res <= SSN_TOL or repeated or iters == MAX_NEWTON:
-                tol = repeat_tolerance(q, c, tilt) if repeated else SSN_TOL
-                return SsnResult(u=u, residual=res, iters=iters,
-                                 converged=res <= tol)
-            previous = inactive, shift
+    for iters in range(MAX_NEWTON + 1):
+        base_g = H.apply(u) - q
+        F, inactive, shift = _residual_parts(u, base_g, tilt, c,
+                                             default_tau(u, weights))
+        res = float(np.linalg.norm(F))
+        # the inactive set and the clamped values fix the Newton system
+        repeated = (previous is not None
+                    and np.array_equal(inactive, previous[0])
+                    and np.array_equal(shift, previous[1]))
+        if res <= SSN_TOL or repeated or iters == MAX_NEWTON:
+            tol = repeat_tolerance(q, c, tilt) if repeated else SSN_TOL
+            return SsnResult(u=u, residual=res, iters=iters,
+                             converged=res <= tol)
+        previous = inactive, shift
 
-            active = np.flatnonzero(~inactive)
-            u_new = np.zeros(n)
-            if active.size:
-                u_new[active] = H.solve_principal(
-                    active, q[active] + shift[active], x0=u[active])
-            u = u_new
+        active = np.flatnonzero(~inactive)
+        u_new = np.zeros(n)
+        if active.size:
+            u_new[active] = H.solve_principal(
+                active, q[active] + shift[active], x0=u[active])
+        u = u_new
 
 
 def _soft_threshold(v, thresh):
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-
-
-def prox_grad_oracle(H: QuadraticOperator, q, weights: L1Weights, tol=1e-12,
-                     max_iter=500_000, u0=None):
-    """Independent proximal-gradient (ISTA) solver of the same subproblem.
-
-    Iterates ``u <- soft(u - (Hu - q)/L, c/L)`` with ``L`` an upper bound on
-    the largest eigenvalue of H, until the fixed-point update moves less
-    than ``tol`` in the max norm.
-    """
-    q = np.asarray(q, dtype=float)
-    c = weights.c
-    lipschitz = 1.01 * max(H.norm_estimate(), 1e-300)
-    u = np.zeros(q.size) if u0 is None else np.asarray(u0, dtype=float).copy()
-    for _ in range(max_iter):
-        grad = H.apply(u) - q
-        u_next = _soft_threshold(u - grad / lipschitz, c / lipschitz)
-        step = float(np.max(np.abs(u_next - u))) if u.size else 0.0
-        u = u_next
-        if step <= tol:
-            return u
-    raise SsnError(f"proximal gradient did not reach tol={tol} "
-                   f"within {max_iter} iterations")

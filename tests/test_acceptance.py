@@ -13,13 +13,13 @@ import pytest
 from dcl0.fem import assemble, build_structured_mesh, w_of
 from dcl0.measures import (DiscreteMeasureSpace, largest_k_exact,
                            largest_k_greedy, largest_k_relaxed,
-                           reformulation_gap, subgradient_largest_k,
-                           weighted_l0, weighted_l1)
+                           subgradient_largest_k, weighted_l0, weighted_l1)
 from dcl0.problems import (ControlConfig, control_reduced, default_load,
                            poisson_prototype)
 from dcl0.solver import L0PenaltyConfig, penalty_sweep, solve_l0_penalized
 from dcl0.sparsa import node_l1_weights, sparsa_solve
-from dcl0.ssn import L1Weights, QuadraticOperator, prox_grad_oracle, ssn_solve
+from dcl0.ssn import L1Weights, QuadraticOperator, ssn_solve
+from oracles import prox_grad_oracle, reformulation_gap
 
 PAPER_F = {16: -0.0058, 32: -0.0075, 64: -0.0083}
 

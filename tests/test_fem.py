@@ -712,7 +712,7 @@ class TestWOf:
         # a function living on a few node patches satisfies the support
         # constraint whenever the patch measure fits the budget, and then
         # the L1/largest-K gap of its element sums vanishes
-        from dcl0.measures import reformulation_gap
+        from oracles import reformulation_gap
         system = assemble(build_structured_mesh(8))
         elems = DiscreteMeasureSpace(system.elem_measure)
         for _ in range(10):

@@ -7,9 +7,10 @@ from dcl0.measures import (BUDGET_RTOL, DiscreteMeasureSpace, KSelection,
                            OracleLimitError, complete_selection,
                            largest_k_exact, largest_k_greedy,
                            largest_k_relaxed, largest_k_auto,
-                           reformulation_gap, subgradient_largest_k,
-                           weighted_l0, weighted_l1, ZERO_THRESHOLD)
+                           subgradient_largest_k, weighted_l0, weighted_l1,
+                           ZERO_THRESHOLD)
 from dcl0.measures import _SCAN_SLICE, _first_fit
+from oracles import reformulation_gap
 
 # three-atom counterexample data: measures (1, 2, 3), values (4, 4, 3)
 LAM = np.array([1.0, 2.0, 3.0])

@@ -185,3 +185,80 @@ def test_the_check_sees_copies_passed_to_factor_spd():
                      "lu = other(A.tocsc())\n")
     assert copying_factor_calls(tree) == [(2, "tocsc"), (3, "tocsr"),
                                           (4, "copy")]
+
+
+#: exported names that no module of the package reads, each with its reason
+UNREAD_EXPORTS = {
+    ("fem.py", "export_mesh"): "the writer of the mesh format import_mesh reads",
+    ("measures.py", "largest_k_relaxed"): "the upper bound that certifies a "
+                                          "selection on irregular meshes",
+}
+
+
+def exported_names(tree):
+    """The string entries of the module's ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def loaded_names(node):
+    """Names that ``node`` reads, plain or as an attribute."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+            and isinstance(sub.ctx, ast.Load)}
+
+
+def unread_exports(trees):
+    """``(module, name)`` for every name in a module's ``__all__`` that no
+    module of ``trees`` (module -> parsed source) reads other than in the
+    name's own top-level definition."""
+    reads = [(stmt, loaded_names(stmt))
+             for tree in trees.values() for stmt in tree.body]
+    found = []
+    for module, tree in trees.items():
+        for name in exported_names(tree):
+            own = [stmt for stmt in tree.body
+                   if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                   and stmt.name == name]
+            if not any(name in names for stmt, names in reads
+                       if stmt not in own):
+                found.append((module, name))
+    return found
+
+
+def test_every_export_is_read():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SOURCE.glob("*.py"))}
+    unread = unread_exports(trees)
+    assert [hit for hit in unread if hit not in UNREAD_EXPORTS] == []
+    # an allowed name that gained a reader leaves the list
+    assert set(UNREAD_EXPORTS) <= set(unread)
+
+
+def test_the_check_sees_unread_exports():
+    trees = {
+        "a.py": ast.parse("__all__ = ['f', 'g', 'h', 'C', 'D']\n"
+                          "def f():\n"
+                          "    return 1\n"
+                          "def g(n):\n"
+                          "    return g(n - 1)\n"
+                          "def h():\n"
+                          "    pass\n"
+                          "class C:\n"
+                          "    def m(self):\n"
+                          "        return C\n"
+                          "class D:\n"
+                          "    pass\n"),
+        "b.py": ast.parse("from a import f, h\n"
+                          "import a\n"
+                          "x = f()\n"
+                          "y = a.D\n"),
+    }
+    assert unread_exports(trees) == [("a.py", "g"), ("a.py", "h"),
+                                     ("a.py", "C")]

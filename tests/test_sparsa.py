@@ -7,7 +7,8 @@ from dcl0.fem import assemble, build_structured_mesh
 from dcl0.problems import default_load, poisson_prototype
 from dcl0 import sparsa
 from dcl0.sparsa import SparsaError, node_l1_weights, sparsa_solve
-from dcl0.ssn import L1Weights, QuadraticOperator, f_tau_residual
+from dcl0.ssn import L1Weights, QuadraticOperator
+from oracles import f_tau_residual
 
 
 class TestDefaults:

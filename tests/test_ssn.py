@@ -1,5 +1,3 @@
-import contextlib
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +7,8 @@ from conftest import jittered_mesh, random_spd, random_spd_operator
 from dcl0 import ssn
 from dcl0.fem import assemble
 from dcl0.ssn import (L1Weights, QuadraticOperator, SsnError, default_tau,
-                      f_tau_residual, prox_grad_oracle, ssn_solve)
+                      ssn_solve)
+from oracles import f_tau_residual, prox_grad_oracle
 
 
 def scalar_op(h):
@@ -272,20 +271,33 @@ class TestSsnSolve:
         assert ssn_solve(H, np.ones(3), weights, u0=np.zeros(3)).converged
 
 
+def holds_factor(value):
+    """Whether ``value`` is a SuperLU factor or a tuple or list that holds
+    one."""
+    if isinstance(value, spla.SuperLU):
+        return True
+    return isinstance(value, (tuple, list)) and any(map(holds_factor, value))
+
+
+def keeps_a_factor(H):
+    """Whether an attribute of the operator holds a principal factor."""
+    return any(map(holds_factor, vars(H).values()))
+
+
 class TestRepeatedClassification:
     @staticmethod
     def factorizations(monkeypatch):
-        """Per principal solve, the active set's bytes and whether the
-        solve made a factorization."""
+        """Per principal solve, the active set's bytes and the number of
+        factorizations the solve made."""
         calls = []
         solve, factor = QuadraticOperator.solve_principal, ssn.factor_spd
 
         def recorded_solve(self, active, rhs, x0=None):
-            calls.append([active.tobytes(), False])
+            calls.append([active.tobytes(), 0])
             return solve(self, active, rhs, x0=x0)
 
         def recorded_factor(csc):
-            calls[-1][1] = True
+            calls[-1][1] += 1
             return factor(csc)
 
         monkeypatch.setattr(QuadraticOperator, "solve_principal",
@@ -294,14 +306,12 @@ class TestRepeatedClassification:
         return calls
 
     @staticmethod
-    def assert_no_refactor(calls):
-        """Each principal solve factors exactly when its active set differs
-        from the last one's; returns the solves that reused a factor."""
-        reused = 0
-        for (last, _), (active, factored) in zip(calls, calls[1:]):
-            assert factored == (active != last)
-            reused += active == last
-        return reused
+    def assert_one_factor_per_solve(calls):
+        """Every principal solve of an explicit Hessian factors exactly
+        once; returns the solves whose active set repeats the last one's."""
+        assert all(factored == 1 for _, factored in calls)
+        return sum(active == last
+                   for (last, _), (active, _) in zip(calls, calls[1:]))
 
     @pytest.mark.parametrize("scale", [10.0, 50.0])
     def test_scaled_acceptance_instances_converge(self, scale, monkeypatch):
@@ -329,18 +339,19 @@ class TestRepeatedClassification:
             assert res.iters <= 6
             # no Newton system is solved twice
             assert len(set(systems)) == len(systems)
-            # no step keeps the last step's active set here (one solve
-            # returns to an earlier set, A B A', which one live factor
-            # cannot serve), and no factor outlives the solve
-            assert self.assert_no_refactor(calls) == 0
-            assert H._kept is None
+            # every step factors its block once, also where a solve returns
+            # to an earlier active set (A B A'), and no step keeps the last
+            # step's active set here; no factor outlives the solve
+            assert self.assert_one_factor_per_solve(calls) == 0
+            assert not keeps_a_factor(H)
 
-    def test_sign_flip_reuses_the_factor(self, monkeypatch):
+    def test_sign_flip_factors_again(self, monkeypatch):
         # thresholds of very different sizes: a clamped component with a
         # tiny threshold can change sign and stay clamped, so that a Newton
-        # step keeps its predecessor's active set (5 of these 60 instances)
+        # step keeps its predecessor's active set (5 of these 60 instances);
+        # such a step factors its block again
         calls = self.factorizations(monkeypatch)
-        reused = 0
+        repeated = 0
         for seed in range(60):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 12))
@@ -350,17 +361,11 @@ class TestRepeatedClassification:
             c[rng.random(n) < 0.3] *= 1e-4
             calls.clear()
             res = ssn_solve(H, q, L1Weights(c))
-            assert res.converged and H._kept is None
-            reused += self.assert_no_refactor(calls)
-            # the same bits as with a factorization per step
-            with monkeypatch.context() as m:
-                m.setattr(QuadraticOperator, "keeping_factor",
-                          contextlib.nullcontext)
-                fresh = ssn_solve(H, q, L1Weights(c))
-            assert np.array_equal(res.u, fresh.u) and res.iters == fresh.iters
-        assert reused == 5
+            assert res.converged and not keeps_a_factor(H)
+            repeated += self.assert_one_factor_per_solve(calls)
+        assert repeated == 5
 
-    def test_factor_lives_one_call_outside_a_solve(self, rng, monkeypatch):
+    def test_factor_lives_one_call(self, rng, monkeypatch):
         H = random_spd_operator(rng, 20)
         factored = []
         factor = ssn.factor_spd
@@ -368,9 +373,19 @@ class TestRepeatedClassification:
                             lambda csc: factored.append(1) or factor(csc))
         active = np.arange(0, 20, 2)
         first = H.solve_principal(active, np.ones(10))
+        assert not keeps_a_factor(H)
         second = H.solve_principal(active, np.ones(10))
-        assert len(factored) == 2 and H._kept is None
+        assert len(factored) == 2 and not keeps_a_factor(H)
         assert np.array_equal(first, second)
+
+    def test_the_check_sees_a_kept_factor(self, rng):
+        H = random_spd_operator(rng, 6)
+        assert not keeps_a_factor(H)
+        lu = ssn.factor_spd(H.explicit.T)
+        H._last = (np.arange(6), [lu])
+        assert keeps_a_factor(H)
+        H._last = lu
+        assert keeps_a_factor(H)
 
     def test_repeat_with_large_residual_fails(self, rng):
         # inexact principal solves, as from conjugate gradients stopped

@@ -76,3 +76,34 @@ def test_benchmark_commands_parse(tmp_path):
     for name in ops.WORKLOADS:
         argv = ops.command(name, tmp_path)
         assert parser.parse_args(argv).command == argv[0], name
+
+
+def test_field_check_passes_and_sees_a_corrupted_field(tmp_path, monkeypatch):
+    # the check poisson-grid's ops run on the written fields, on the CLI's
+    # own system and solution
+    ops = load("ops")
+    solves = []
+    original = cli.solve_l0_penalized
+
+    def capture(problem, system, cfg):
+        sol = original(problem, system, cfg)
+        solves.append((system, sol))
+        return sol
+
+    monkeypatch.setattr(cli, "solve_l0_penalized", capture)
+    assert cli.main(["poisson", "--n", "16", "--K", repr(ops.K),
+                     "--rho", repr(ops.RHO), "--csv", str(tmp_path / "run.csv"),
+                     "--solution-out", str(tmp_path / "u.txt"),
+                     "--multiplier-out", str(tmp_path / "mult.txt")]) == 0
+    [(system, sol)] = solves
+    assert ops.check_fields(tmp_path, sol, system, ops.K) == []
+
+    field = tmp_path / "u.txt"
+    lines = field.read_text().splitlines()
+    zero = next(i for i, line in enumerate(lines)
+                if line in ("0.0", "-0.0"))
+    lines[zero] = "0.001"
+    field.write_text("\n".join(lines) + "\n")
+    failures = ops.check_fields(tmp_path, sol, system, ops.K)
+    assert any("differs from the solution" in f for f in failures)
+    assert any("l0 from the field" in f for f in failures)
