@@ -389,7 +389,8 @@ class _GridLaplacianSolver:
     the symbol ``1 / lam`` of ``A^-1``; ``eigenvalues`` (``lam_kl = s_k +
     s_l``, ``s_k = 4 sin^2(k pi / 2(m+1))``, built on each read) and
     ``cosines`` (``cos(k pi / (m+1))``) let callers build other operators
-    of the basis (:meth:`sine_diagonal`).
+    of the basis (:meth:`sine_diagonal`); :meth:`mass_sandwich` holds the
+    grid's mass matrix in it.
     """
 
     def __init__(self, m):
@@ -420,6 +421,42 @@ class _GridLaplacianSolver:
         index and l in the column index, so ``1 / eigenvalues`` gives A^-1."""
         symbol = np.asarray(symbol, dtype=float)
         return lambda rhs: self._apply(symbol, rhs)
+
+    def mass_sandwich(self, m_ii):
+        """The grid's free-node P1 mass matrix ``M`` (diagonal entries
+        ``m_ii``) in the sine basis: ``(mu, middle)``, with ``mu`` the
+        diagonal of ``V M V`` and ``middle(a) = A^-1 M A^-1 a`` in six dense
+        products and no return to nodal space in between.
+
+        With ``E`` the 1-D shift, ``T = E + E'`` and ``K = E - E'``, the
+        grid's triangulation (every cell cut along its lower-left to
+        upper-right diagonal) gives ``M = (m_ii / 6)(6 I + T (x) I + I (x) T
+        + E (x) E + E' (x) E')``, and ``E (x) E + E' (x) E' = (T (x) T + K
+        (x) K) / 2``.  As ``V T V = diag(2 c)``, ``M`` acts on sine
+        coefficients ``X`` as ``mu * X + (m_ii / 12) W X W'``, with ``mu_kl =
+        (m_ii / 6)(6 + 2 c_k + 2 c_l + 2 c_k c_l)`` and ``W = V K V`` dense
+        and antisymmetric (the fast diagonalization of Lynch, Rice & Thomas,
+        Numer. Math. 1964).
+        """
+        c_k, c_l = self.cosines[:, None], self.cosines[None, :]
+        mu = (m_ii / 6.0) * (6.0 + 2.0 * c_k + 2.0 * c_l + 2.0 * c_k * c_l)
+        V, m, inverse, weight = self.basis, self.m, self._inverse, m_ii / 12.0
+        # K V, row by row: V[i + 1] - V[i - 1], rows off the grid zero
+        KV = np.zeros_like(V)
+        KV[:-1] = V[1:]
+        KV[1:] -= V[:-1]
+        W = V @ KV
+
+        def middle(a):
+            B = V @ a.reshape(m, m) @ V
+            B *= inverse
+            C = W @ B @ W  # W B W' = -W B W: W is antisymmetric
+            C *= -weight
+            C += mu * B
+            C *= inverse
+            return (V @ C @ V).ravel()
+
+        return mu, middle
 
 
 @dataclass

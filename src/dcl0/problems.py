@@ -96,10 +96,15 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
         0.5 |y - y_d|_M^2  +  alpha/2 |u|_M^2  +  beta/2 |u|_A^2
 
     with the desired state interpolated at the nodes.  Gradients come from
-    the adjoint equation; the Hessian action costs two stiffness solves
-    (see :meth:`~dcl0.fem.FemSystem.stiffness_solve`).  On
-    :func:`~dcl0.fem.build_structured_mesh`'s grid its principal solves are
-    preconditioned by :func:`_grid_hessian_inverse`.
+    the adjoint equation.  The Hessian action is ``M middle(M v) + R v``
+    with ``middle(a) = A^-1 M A^-1 a`` and ``R = alpha M + beta A``.  On
+    :func:`~dcl0.fem.build_structured_mesh`'s grid ``middle`` stays in the
+    sine basis (six dense products, see
+    :meth:`~dcl0.fem._GridLaplacianSolver.mass_sandwich`), so an action is
+    those products plus three sparse ones, and the principal solves are
+    preconditioned by :func:`_grid_hessian_inverse`; elsewhere ``middle``
+    is two stiffness solves (see
+    :meth:`~dcl0.fem.FemSystem.stiffness_solve`).
     """
     cfg = cfg or ControlConfig()
     A, M = system.A, system.M
@@ -127,8 +132,18 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
         adjoint = system.stiffness_solve(M @ (state(u) - yd))
         return system.expand(M @ adjoint + R @ u)
 
+    grid = system.grid_solver()
+    if grid is None:
+        preconditioner = None
+
+        def middle(a):
+            return system.stiffness_solve(M @ system.stiffness_solve(a))
+    else:
+        mu, middle = grid.mass_sandwich(float(M.diagonal().mean()))
+        preconditioner = _grid_hessian_inverse(grid, mu, cfg)
+
     def hess_action(v):
-        return M @ system.stiffness_solve(M @ state(v)) + R @ v
+        return M @ middle(M @ v) + R @ v
 
     def tracking_error(u_full):
         u = system.restrict(u_full)
@@ -136,39 +151,31 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
         return float(np.sqrt(r @ (M @ r)))
 
     q_smooth = M @ system.stiffness_solve(M @ yd)
-    hessian = QuadraticOperator(
-        hess_action, n=system.num_free,
-        preconditioner=_grid_hessian_inverse(system, cfg))
+    hessian = QuadraticOperator(hess_action, n=system.num_free,
+                                preconditioner=preconditioner)
     return ProblemDef(system=system, hessian=hessian, q_smooth=q_smooth,
                       smooth_value=value, smooth_grad=grad,
                       tracking_error=tracking_error)
 
 
-def _grid_hessian_inverse(system: FemSystem, cfg: ControlConfig):
+def _grid_hessian_inverse(grid, mu, cfg: ControlConfig):
     """Sine-basis approximate inverse of the reduced Hessian
     ``H = M A^-1 M A^-1 M + alpha M + beta A`` on
-    :func:`~dcl0.fem.build_structured_mesh`'s grid (see
-    :meth:`~dcl0.fem.FemSystem.grid_solver`), otherwise None.
+    :func:`~dcl0.fem.build_structured_mesh`'s grid, whose solver ``grid``
+    (see :meth:`~dcl0.fem.FemSystem.grid_solver`) diagonalizes ``A``
+    exactly (eigenvalues ``lam``).
 
-    The sine basis diagonalizes ``A`` exactly (eigenvalues ``lam``).  On
-    the grid's triangulation (every cell cut along one diagonal) the P1
-    mass matrix couples each node with weight ``M_ii / 6`` to its four axis
-    neighbours and its two neighbours along that diagonal; its diagonal in
-    the sine basis is ``mu_kl = (M_ii / 6)(6 + 2 c_k + 2 c_l + 2 c_k c_l)``,
-    and what it drops of ``M`` has a zero diagonal there.  The result
-    applies ``1 / (mu^3 / lam^2 + alpha mu + beta lam)`` in the sine basis.
+    ``mu`` is the diagonal of ``M`` in the sine basis, from the grid mass
+    form :meth:`~dcl0.fem._GridLaplacianSolver.mass_sandwich` that the
+    Hessian action also applies; what the preconditioner drops of ``M``,
+    its ``W X W'`` term, has a zero diagonal there.  The result applies
+    ``1 / (mu^3 / lam^2 + alpha mu + beta lam)`` in the sine basis.
     Every value is positive, so it is symmetric positive definite and only
     changes the iteration count of conjugate gradients.  (Chan, SIAM J.
     Sci. Stat. Comput. 1988, for the fast-transform approximation; Rees,
     Dollar & Wathen, SIAM J. Sci. Comput. 2010, for spectrally equivalent
     control preconditioners.)
     """
-    grid = system.grid_solver()
-    if grid is None:
-        return None
-    c_k, c_l = grid.cosines[:, None], grid.cosines[None, :]
     lam = grid.eigenvalues
-    mu = (float(system.M.diagonal().mean()) / 6.0) * (
-        6.0 + 2.0 * c_k + 2.0 * c_l + 2.0 * c_k * c_l)
     return grid.sine_diagonal(
         1.0 / (mu ** 3 / lam ** 2 + cfg.alpha * mu + cfg.beta * lam))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ssn import L1Weights, QuadraticOperator, _soft_threshold
+from .ssn import L1Weights, QuadraticOperator
 
 __all__ = ["SparsaResult", "SparsaError", "sparsa_solve",
            "node_l1_weights"]
@@ -97,3 +97,7 @@ def sparsa_solve(H: QuadraticOperator, q, weights: L1Weights,
         if rel_obj <= REL_TOL and rel_step <= REL_TOL:
             return SparsaResult(u=u, iters=k, history=history)
     raise SparsaError(f"no convergence within {MAX_ITER} iterations")
+
+
+def _soft_threshold(v, thresh):
+    return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)

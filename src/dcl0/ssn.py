@@ -293,7 +293,3 @@ def ssn_solve(H: QuadraticOperator, q, weights: L1Weights, u0=None,
             u_new[active] = H.solve_principal(
                 active, q[active] + shift[active], x0=u[active])
         u = u_new
-
-
-def _soft_threshold(v, thresh):
-    return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)

@@ -4,8 +4,8 @@ criteria compare dcl0 against; no command runs them."""
 import numpy as np
 
 from dcl0.measures import DiscreteMeasureSpace, largest_k_auto, weighted_l1
-from dcl0.ssn import (L1Weights, QuadraticOperator, SsnError, _residual_parts,
-                      _soft_threshold)
+from dcl0.sparsa import _soft_threshold
+from dcl0.ssn import L1Weights, QuadraticOperator, SsnError, _residual_parts
 
 
 def f_tau_residual(u, H: QuadraticOperator, q, weights: L1Weights, tau,

@@ -679,8 +679,9 @@ class TestAssembledSystems:
 
 class TestExportedGrid:
     """An exported grid read through --mesh-file is the grid: the same
-    sine-basis solves, so the same bytes as the --n run, except the summary
-    CSV's n, which a mesh-file row leaves empty."""
+    sine-basis solves (and, for control, the same sine-basis Hessian
+    action), so the same bytes as the --n run, except the summary CSV's n,
+    which a mesh-file row leaves empty."""
 
     @pytest.mark.parametrize("command, extra", [
         ("poisson", ["--schedule", "0.9", "--iters-csv", "{out}/iters.csv",
@@ -703,6 +704,15 @@ class TestExportedGrid:
             return original(mesh, *args, **kwargs)
 
         monkeypatch.setattr(cli, "assemble", recorded)
+        sandwiches = []
+        sandwich = fem._GridLaplacianSolver.mass_sandwich
+
+        def recorded_sandwich(grid, m_ii):
+            sandwiches.append(grid.m)
+            return sandwich(grid, m_ii)
+
+        monkeypatch.setattr(fem._GridLaplacianSolver, "mass_sandwich",
+                            recorded_sandwich)
         mesh_path = tmp_path / "mesh.txt"
         export_mesh(build_structured_mesh(16), mesh_path)
         outputs = {}
@@ -717,6 +727,8 @@ class TestExportedGrid:
                               for path in out.iterdir()},
                              capsys.readouterr())
         assert [mesh.grid_n for mesh in meshes] == [16, 16]
+        # one control problem per beta, in each of the two runs
+        assert sandwiches == ([15] * 4 if command == "control" else [])
         (grid_files, grid_std), (file_files, file_std) = outputs.values()
         assert grid_std == file_std
         grid_csv = grid_files.pop("run.csv").splitlines()

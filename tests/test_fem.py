@@ -839,6 +839,27 @@ class TestGridSolver:
         assert (np.max(np.abs(grid(rhs) - reference))
                 <= 1e-13 * np.max(np.abs(reference)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
+    def test_mass_sandwich_matches_two_stiffness_solves(self, n, rng):
+        # n = 2 is the 1 x 1 grid, where W is the zero matrix
+        system = assemble(build_structured_mesh(n))
+        grid = system.grid_solver()
+        M = system.M
+        mu, middle = grid.mass_sandwich(float(M.diagonal().mean()))
+        for a in rng.standard_normal((3, system.num_free)):
+            reference = system.stiffness_solve(M @ system.stiffness_solve(a))
+            assert (np.linalg.norm(middle(a) - reference)
+                    <= 1e-13 * np.linalg.norm(reference))
+        lu = factor_spd(system.A.tocsc())
+        reference = lu.solve(M @ lu.solve(a))
+        assert (np.linalg.norm(middle(a) - reference)
+                <= 1e-13 * np.linalg.norm(reference))
+        if n <= 16:
+            # mu is the diagonal of M in the sine basis (a dense check)
+            V = np.kron(grid.basis, grid.basis)
+            assert np.allclose(mu.ravel(), np.diag(V @ M.toarray() @ V),
+                               rtol=1e-13, atol=0.0)
+
     def test_holds_basis_and_one_symbol(self):
         # no work buffer and no m x m array besides V and the symbol of A^-1
         m = 64

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import jittered_mesh
-from dcl0.fem import assemble, build_structured_mesh
+from dcl0.cli import main
+from dcl0.fem import FemSystem, assemble, build_structured_mesh
 from dcl0.problems import (ControlConfig, control_reduced, default_load,
                            poisson_prototype)
 from dcl0.ssn import QuadraticOperator
@@ -121,6 +122,63 @@ class TestControlReduced:
     def test_beta_defaults_to_alpha(self):
         cfg = ControlConfig(alpha=1e-5)
         assert cfg.beta == 1e-5
+
+
+def counting_stiffness_solves(monkeypatch):
+    """Count the calls of ``FemSystem.stiffness_solve`` from now on."""
+    calls = [0]
+    original = FemSystem.stiffness_solve
+
+    def counted(self, rhs):
+        calls[0] += 1
+        return original(self, rhs)
+
+    monkeypatch.setattr(FemSystem, "stiffness_solve", counted)
+    return calls
+
+
+def two_solve_action(system, cfg, v):
+    """``M A^-1 M A^-1 M v + (alpha M + beta A) v`` by two stiffness
+    solves, in the order the off-grid Hessian action takes."""
+    M = system.M
+    R = (cfg.alpha * M + cfg.beta * system.A).tocsr()
+    state = system.stiffness_solve(M @ v)
+    return M @ system.stiffness_solve(M @ state) + R @ v
+
+
+class TestHessianAction:
+    """On the grid the action keeps ``A^-1 M A^-1`` in the sine basis and
+    makes no stiffness solve; elsewhere it is two stiffness solves."""
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_grid_action_makes_no_stiffness_solve(self, n, monkeypatch, rng):
+        system = assemble(build_structured_mesh(n))
+        cfg = ControlConfig(alpha=1e-3, beta=1e-4)
+        problem = control_reduced(system, cfg)
+        calls = counting_stiffness_solves(monkeypatch)
+        v = rng.standard_normal(system.num_free)
+        action = problem.hessian.apply(v)
+        assert calls[0] == 0
+        expected = two_solve_action(system, cfg, v)
+        assert (np.linalg.norm(action - expected)
+                <= 1e-13 * np.linalg.norm(expected))
+
+    def test_off_grid_action_is_two_stiffness_solves(self, monkeypatch, rng):
+        system = assemble(jittered_mesh(24))
+        cfg = ControlConfig()
+        problem = control_reduced(system, cfg)
+        calls = counting_stiffness_solves(monkeypatch)
+        v = rng.standard_normal(system.num_free)
+        action = problem.hessian.apply(v)
+        assert calls[0] == 2
+        assert np.array_equal(action, two_solve_action(system, cfg, v))
+
+    def test_grid_control_run_makes_few_stiffness_solves(self, monkeypatch,
+                                                          capsys):
+        # 84 when every Hessian action made two
+        calls = counting_stiffness_solves(monkeypatch)
+        assert main(["control", "--n", "128"]) == 0
+        assert 0 < calls[0] <= 10
 
 
 def counting_hessian(problem):

@@ -262,3 +262,36 @@ def test_the_check_sees_unread_exports():
     }
     assert unread_exports(trees) == [("a.py", "g"), ("a.py", "h"),
                                      ("a.py", "C")]
+
+
+def unread_helpers(tree):
+    """Private top-level functions and classes of a module that the module
+    itself never reads outside their own definition."""
+    defs = [stmt for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and stmt.name.startswith("_")]
+    return [stmt.name for stmt in defs
+            if not any(stmt.name in loaded_names(other)
+                       for other in tree.body if other is not stmt)]
+
+
+def test_every_helper_is_read_where_it_lives():
+    # a private helper lives in the module that calls it, not in one that
+    # only exports it to another
+    unread = {path.name: unread_helpers(ast.parse(path.read_text()))
+              for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: helpers for name, helpers in unread.items() if helpers} == {}
+
+
+def test_the_check_sees_unread_helpers():
+    tree = ast.parse("def _used():\n"
+                     "    return 1\n"
+                     "def _only_recursive(n):\n"
+                     "    return _only_recursive(n - 1)\n"
+                     "def _exported():\n"
+                     "    pass\n"
+                     "class _Kept:\n"
+                     "    pass\n"
+                     "x = _used() + len([_Kept])\n")
+    assert unread_helpers(tree) == ["_only_recursive", "_exported"]

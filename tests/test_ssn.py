@@ -446,7 +446,7 @@ class TestProxOracle:
         c = rng.random(n)
         res = ssn_solve(H, q, L1Weights(c))
         lipschitz = 1.01 * H.norm_estimate()
-        from dcl0.ssn import _soft_threshold
+        from dcl0.sparsa import _soft_threshold
         step = _soft_threshold(res.u - (H.apply(res.u) - q) / lipschitz,
                                c / lipschitz)
         assert np.max(np.abs(step - res.u)) <= 1e-12
