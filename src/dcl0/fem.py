@@ -13,9 +13,12 @@ triangulation.  Vectors crossing module boundaries are full length with
 zeros on the boundary.
 A mesh knows whether it is :func:`build_structured_mesh`'s grid
 (``TriMesh.grid_n``): built by it, or imported from a file that holds
-exactly its nodes and triangles.  Stiffness solves use dense BLAS-3
-products in the 2-D sine basis on that grid (O(m^3) for its m x m interior
-nodes, yet faster than an FFT up to about m = 1000), and a cached sparse
+exactly its nodes and triangles.  On that grid the stiffness and mass
+matrices are built in closed form, with no element loop, and only the load
+is assembled element by element; the stiffness is then exactly the 5-point
+Laplacian ``T (+) T``.  Stiffness solves use dense BLAS-3 products in the
+2-D sine basis on that grid (O(m^3) for its m x m interior nodes, yet
+faster than an FFT up to about m = 1000), and a cached sparse
 factorization on any other mesh.
 """
 
@@ -467,7 +470,10 @@ class FemSystem:
     all-node matrix is kept.  ``M`` exists only where :func:`assemble` was
     asked for it (the control problem), and then ``A`` and ``M`` share one
     ``indices``/``indptr`` pair; elsewhere ``M`` is None and ``A`` stores
-    no entry that is exactly zero.  ``elem_nodes`` holds the three
+    no entry that is exactly zero.  On :func:`build_structured_mesh`'s grid
+    both are the closed-form operators of :func:`_grid_operators`, every
+    row of the same values; on any other mesh, the element integrals of
+    :func:`_assemble_nodes`.  ``elem_nodes`` holds the three
     node indices of each element in ascending order (int32),
     ``elem_measure`` the triangle areas, ``patch_measure`` per node the
     total area of its incident triangles, and ``basis_integral`` the
@@ -555,16 +561,37 @@ class FemSystem:
 _CHUNK = 1 << 13
 
 
-def _assemble_nodes(mesh: TriMesh, g=None, keep=None, mass=True):
-    """Stiffness and mass on the nodes ``keep`` (ascending; every node,
-    boundary included, when None) and the load of every node:
-    ``(A, M, b_full)``.  With ``mass``, ``A`` and ``M`` share one index
-    pair; without it, ``M`` is None and ``A`` stores no entry that sums to
-    exactly 0.0 (on a structured mesh, the diagonal couplings: cot 90
-    degrees = 0, where ``M`` is not zero).
+def _load(mesh: TriMesh, g=None):
+    """Load vector of every node, boundary included, for the source ``g``
+    (zero when None): the three-point edge-midpoint rule on each triangle
+    (exact for quadratic integrands), each node's terms added in triangle
+    order."""
+    nodes, tris, areas = mesh.nodes, mesh.triangles, mesh.areas
+    b_full = np.zeros(mesh.num_nodes)
+    if g is None:
+        return b_full
+    for start in range(0, mesh.num_triangles, _CHUNK):
+        t = slice(start, start + _CHUNK)
+        x, y = nodes[:, 0][tris[t].T], nodes[:, 1][tris[t].T]  # vertex i
+        g01, g12, g20 = (
+            np.asarray(g(0.5 * (x[i] + x[j]), 0.5 * (y[i] + y[j])),
+                       dtype=float)
+            for i, j in ((0, 1), (1, 2), (2, 0)))
+        scale = areas[t] / 6.0
+        b_loc = np.stack([(g01 + g20) * scale, (g01 + g12) * scale,
+                          (g12 + g20) * scale], axis=1)
+        # unbuffered: each node's terms are added in triangle order
+        np.add.at(b_full, tris[t].ravel(), b_loc.ravel())
+    return b_full
 
-    Stiffness and mass use the exact P1 element integrals; the load uses the
-    three-point edge-midpoint rule (exact for quadratic integrands).
+
+def _assemble_nodes(mesh: TriMesh, keep=None, mass=True):
+    """Stiffness and mass on the nodes ``keep`` (ascending; every node,
+    boundary included, when None): ``(A, M)``.  With ``mass``, ``A`` and
+    ``M`` share one index pair; without it, ``M`` is None and ``A`` stores
+    no entry that sums to exactly 0.0 (on a structured mesh, the diagonal
+    couplings: cot 90 degrees = 0, where ``M`` is not zero).  Both use the
+    exact P1 element integrals.
 
     The element blocks form one list, triangle by triangle and each 3x3
     block row by row.  Row ``r`` of the all-node matrix holds, before
@@ -583,12 +610,11 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None, mass=True):
     ``A`` after ``eliminate_zeros()``: every stored value the same bits,
     only the pattern smaller.
 
-    Both loops fill preallocated arrays: the first, over triangles, adds
-    the load in triangle order and stores the gradients; the second, over
-    rows, computes each block row's stiffness from the gradients.  The
-    output arrays are sized for every block entry, ``9 m``; only the
-    summed entries are written (pages never written take no memory), and
-    that head is copied out at the end.
+    Both loops fill preallocated arrays: the first, over triangles, stores
+    the gradients; the second, over rows, computes each block row's
+    stiffness from the gradients.  The output arrays are sized for every
+    block entry, ``9 m``; only the summed entries are written (pages never
+    written take no memory), and that head is copied out at the end.
     """
     nodes, tris, areas = mesh.nodes, mesh.triangles, mesh.areas
     num_nodes, m = mesh.num_nodes, mesh.num_triangles
@@ -596,20 +622,9 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None, mass=True):
     # 2 area times the gradient of barycentric basis i is the opposite edge
     # p_{i+2} - p_{i+1} turned by a quarter, rot(x, y) = (-y, x)
     gx, gy = np.empty((3, m)), np.empty((3, m))
-    b_full = np.zeros(num_nodes)
     for start in range(0, m, _CHUNK):
         t = slice(start, start + _CHUNK)
         x, y = nodes[:, 0][tris[t].T], nodes[:, 1][tris[t].T]  # vertex i
-        if g is not None:
-            g01, g12, g20 = (
-                np.asarray(g(0.5 * (x[i] + x[j]), 0.5 * (y[i] + y[j])),
-                           dtype=float)
-                for i, j in ((0, 1), (1, 2), (2, 0)))
-            scale = areas[t] / 6.0
-            b_loc = np.stack([(g01 + g20) * scale, (g01 + g12) * scale,
-                              (g12 + g20) * scale], axis=1)
-            # unbuffered: each node's terms are added in triangle order
-            np.add.at(b_full, tris[t].ravel(), b_loc.ravel())
         gx[:, t] = (y[[1, 2, 0]] - y[[2, 0, 1]]) / (2.0 * areas[t])
         gy[:, t] = (x[[2, 0, 1]] - x[[1, 2, 0]]) / (2.0 * areas[t])
 
@@ -679,17 +694,77 @@ def _assemble_nodes(mesh: TriMesh, g=None, keep=None, mass=True):
     indices = indices[:nnz].copy()
     A = sp.csr_matrix((a_data[:nnz].copy(), indices, indptr), shape=shape)
     if not mass:
-        return A, None, b_full
+        return A, None
     M = sp.csr_matrix((m_data[:nnz].copy(), indices, indptr), shape=shape)
     # one index pair for both; the constructor keeps each as its own view
     M.indices, M.indptr = A.indices, A.indptr
-    return A, M, b_full
+    return A, M
+
+
+def _grid_operators(n, mass=True):
+    """Free-node stiffness and, with ``mass``, mass matrix of
+    :func:`build_structured_mesh`'s n x n grid in closed form: ``(A, M)``
+    on the ``(n-1)^2`` interior nodes in :func:`_grid_layout`'s order,
+    int32 indices.
+
+    Every interior node has the same six triangles, right-angled with legs
+    ``h = 1/n``, so every row holds the same values.  Without ``mass``,
+    ``A`` is the 5-point stencil ``T (+) T`` (4 and -1) and ``M`` is None.
+    With it, both share the 7-point pattern of the triangulation (the
+    stencil and the couplings along the cells' diagonals); ``A`` holds
+    +0.0 on the diagonal couplings, and ``M`` holds ``x + x`` off the
+    diagonal and the sum of six ``2 x`` terms in turn on it, ``x = area /
+    12``.  Where n is a power of two, the nodes and areas are exact and
+    element assembly gives these bits; elsewhere it rounds each element's
+    coordinates, areas and gradients.
+    """
+    m = n - 1
+    x = 0.5 / (n * n) / 12.0
+    m_ii = 2.0 * x
+    for _ in range(5):
+        m_ii += 2.0 * x
+    # (row step, column step, stiffness, mass) of each coupling, in
+    # ascending column order
+    couplings = [(-1, -1, 0.0, x + x), (-1, 0, -1.0, x + x),
+                 (0, -1, -1.0, x + x), (0, 0, 4.0, m_ii), (0, 1, -1.0, x + x),
+                 (1, 0, -1.0, x + x), (1, 1, 0.0, x + x)]
+    if not mass:
+        couplings = [c for c in couplings if c[2] != 0.0]
+    steps = [c[:2] for c in couplings]
+
+    r = np.arange(m)
+    valid = np.stack([((r + dj >= 0) & (r + dj < m))[:, None]
+                      & ((r + di >= 0) & (r + di < m))[None, :]
+                      for dj, di in steps], axis=-1)
+    node = np.arange(m * m, dtype=np.int32).reshape(m, m, 1)
+    indices = (node + np.array([dj * m + di for dj, di in steps],
+                               dtype=np.int32))[valid]
+    indptr = np.zeros(m * m + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(valid, axis=-1).ravel(), out=indptr[1:])
+
+    def matrix(values):
+        data = np.broadcast_to(np.array(values), valid.shape)[valid]
+        return sp.csr_matrix((data, indices, indptr), shape=(m * m, m * m))
+
+    A = matrix([c[2] for c in couplings])
+    if not mass:
+        return A, None
+    M = matrix([c[3] for c in couplings])
+    M.indices, M.indptr = A.indices, A.indptr
+    return A, M
 
 
 def assemble(mesh: TriMesh, g=None, mass=True) -> FemSystem:
     """Assemble stiffness, load and, with ``mass``, the mass matrix for
-    ``-laplace u = g`` with homogeneous Dirichlet data (see
-    :func:`_assemble_nodes`) and eliminate the boundary nodes.
+    ``-laplace u = g`` with homogeneous Dirichlet data and eliminate the
+    boundary nodes.
+
+    On :func:`build_structured_mesh`'s grid (``mesh.grid_n`` set) the
+    matrices come in closed form (:func:`_grid_operators`): ``A`` is then
+    exactly the ``T (+) T`` that :meth:`FemSystem.grid_solver` inverts.  On
+    any other mesh they come from the element integrals
+    (:func:`_assemble_nodes`).  The load uses the edge-midpoint rule on
+    every mesh (:func:`_load`).
 
     Only the control problem reads ``M``; the Poisson commands pass
     ``mass=False`` and get a system whose ``M`` is None, with the same
@@ -697,8 +772,11 @@ def assemble(mesh: TriMesh, g=None, mass=True) -> FemSystem:
     structured mesh its pattern is the 5-point stencil, which every
     principal block, factorization and product of ``A`` then shares."""
     system = FemSystem(mesh)
-    system.A, system.M, b = _assemble_nodes(mesh, g, system.free_nodes, mass)
-    system.b = b[system.free_nodes]
+    if mesh.grid_n is None:
+        system.A, system.M = _assemble_nodes(mesh, system.free_nodes, mass)
+    else:
+        system.A, system.M = _grid_operators(mesh.grid_n, mass)
+    system.b = _load(mesh, g)[system.free_nodes]
     return system
 
 

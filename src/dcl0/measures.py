@@ -132,9 +132,23 @@ def _selection(indices, absx, lam, exact):
 
 def _by_magnitude(absx, floor):
     """Atoms with ``absx`` above ``floor`` by decreasing ``absx``, ties by
-    ascending index (a stable sort on ``-absx``)."""
+    ascending index: the order of a stable sort on ``-absx``, from numpy's
+    default (SIMD, unstable) sort with each run of equal keys then sorted
+    by index."""
     candidates = np.flatnonzero(absx > floor)
-    return candidates[np.argsort(-absx[candidates], kind="stable")]
+    keys = -absx[candidates]
+    order = np.argsort(keys)
+    keys = keys[order]
+    tie = keys[1:] == keys[:-1]
+    if tie.any():
+        # the positions in runs of equal keys, sorted by (run, index) as
+        # one integer key; the runs keep their places
+        in_run = np.zeros(keys.size, dtype=bool)
+        in_run[1:] = tie
+        in_run[:-1] |= tie
+        run = np.cumsum(~np.concatenate(([False], tie)))[in_run] * keys.size
+        order[in_run] = np.sort(run + order[in_run]) - run
+    return candidates[order]
 
 
 def _first_fit(order, lam, slack):

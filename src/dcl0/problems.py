@@ -139,7 +139,8 @@ def control_reduced(system: FemSystem, cfg: ControlConfig = None) -> ProblemDef:
         def middle(a):
             return system.stiffness_solve(M @ system.stiffness_solve(a))
     else:
-        mu, middle = grid.mass_sandwich(float(M.diagonal().mean()))
+        # the grid's M is in closed form, every diagonal entry the same
+        mu, middle = grid.mass_sandwich(float(M.diagonal()[0]))
         preconditioner = _grid_hessian_inverse(grid, mu, cfg)
 
     def hess_action(v):

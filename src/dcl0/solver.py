@@ -166,11 +166,12 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     # the objective at the iterate of sweep k and the subgradient that
     # sweep k + 1 takes there share its element sums and their greedy
     # order, and its selection unless the schedule moves the budget between
-    # them
+    # them; so does the iterate of a sweep that returns the same values,
+    # as the last sweep does at the fixed point
     last = {"u": None, "w": None, "order": None, "budget": None, "sel": None}
 
     def selection_at(u_full, budget):
-        if last["u"] is not u_full:
+        if not np.array_equal(last["u"], u_full):
             w = w_of(u_full, system)
             last.update(u=u_full, w=w, order=greedy_order(w), budget=None)
         if last["budget"] != budget:

@@ -529,6 +529,7 @@ class TestVerifyCommand:
             raise AssertionError("verify assembled a matrix")
 
         monkeypatch.setattr(fem, "_assemble_nodes", no_assembly)
+        monkeypatch.setattr(fem, "_grid_operators", no_assembly)
         assert run("verify", *mesh, "--csv", str(csv),
                    "--solution-out", str(sol)) == 0
         out = capsys.readouterr().out

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from conftest import jittered_mesh
 from dcl0 import fem
 from dcl0.fem import (MeshFormatError, _assemble_nodes, _boundary_nodes,
-                      _GridLaplacianSolver, _validate,
+                      _GridLaplacianSolver, _load, _validate,
                       assemble, build_structured_mesh, export_mesh,
                       import_mesh, read_field, write_field, w_of)
 from dcl0.measures import DiscreteMeasureSpace, weighted_l0, weighted_l1
@@ -349,7 +349,7 @@ class TestMeshIO:
 class TestAssembly:
     def test_zero_load(self):
         mesh = build_structured_mesh(4)
-        _, _, b_full = _assemble_nodes(mesh, g=None)
+        b_full = _load(mesh, g=None)
         assert np.array_equal(b_full, np.zeros(mesh.num_nodes))
 
     def test_constants_in_stiffness_kernel(self):
@@ -361,7 +361,8 @@ class TestAssembly:
     def test_free_block_of_node_matrices(self):
         # assemble keeps the free rows and columns of the node matrices
         mesh = jittered_mesh(6, seed=3)
-        A_full, M_full, b_full = _assemble_nodes(mesh, default_load)
+        A_full, M_full = _assemble_nodes(mesh)
+        b_full = _load(mesh, default_load)
         system = assemble(mesh, default_load)
         free = system.free_nodes
         for full, block in ((A_full, system.A), (M_full, system.M)):
@@ -429,7 +430,7 @@ class TestAssembly:
         def g(x, y):
             return 3.0 * x + 2.0 * y - 1.0
 
-        _, _, b_full = _assemble_nodes(mesh, g)
+        b_full = _load(mesh, g)
         exact = np.zeros(mesh.num_nodes)
         for t, tri in enumerate(mesh.triangles):
             for local, j in enumerate(tri):
@@ -519,6 +520,12 @@ def traced_peak(fn, *args):
     return peak
 
 
+def general(mesh):
+    """``mesh`` with ``grid_n`` unset: what :func:`assemble` does on any
+    mesh that is not :func:`build_structured_mesh`'s grid."""
+    return dataclasses.replace(mesh, grid_n=None)
+
+
 ASSEMBLY_MESHES = (
     [pytest.param(("grid", n, None), id=f"grid-{n}") for n in (2, 3, 7, 64)]
     + [pytest.param(("jitter", n, seed), id=f"jitter-{n}-seed{seed}")
@@ -529,8 +536,9 @@ class TestAssemblyMatchesReference:
     @pytest.mark.parametrize("case", ASSEMBLY_MESHES)
     @pytest.mark.parametrize("g", [None, default_load], ids=["no-load", "load"])
     def test_bit_identical(self, case, g):
+        # element assembly, also on the grid's topology (grid_n unset)
         kind, n, seed = case
-        mesh = (build_structured_mesh(n) if kind == "grid"
+        mesh = (general(build_structured_mesh(n)) if kind == "grid"
                 else jittered_mesh(n, seed=seed))
         ref = reference_assemble(mesh, g)
         system = assemble(mesh, g)
@@ -549,7 +557,8 @@ class TestAssemblyMatchesReference:
         # chunks below one row's block rows (one whole row per pass), of
         # a few rows and of many rows
         monkeypatch.setattr(fem, "_CHUNK", chunk)
-        for mesh in (build_structured_mesh(7), jittered_mesh(6, seed=2)):
+        for mesh in (general(build_structured_mesh(7)),
+                     jittered_mesh(6, seed=2)):
             ref = reference_assemble(mesh, default_load)
             system = assemble(mesh, default_load)
             for name in ("A", "M"):
@@ -606,7 +615,8 @@ class TestAssemblyMatchesReference:
         # without keep, the node matrices of every node
         mesh = jittered_mesh(6, seed=1)
         ref = reference_assemble(mesh, default_load)
-        A_full, M_full, b_full = _assemble_nodes(mesh, default_load)
+        A_full, M_full = _assemble_nodes(mesh)
+        b_full = _load(mesh, default_load)
         free = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
         for full, name in ((A_full, "A"), (M_full, "M")):
             assert full.shape == (mesh.num_nodes, mesh.num_nodes)
@@ -621,10 +631,79 @@ class TestAssemblyMatchesReference:
 
     def test_peak_memory_below_reference(self):
         # a deterministic guard: peak RSS depends on the allocator, the
-        # traced peak only on what assembly allocates
-        mesh = build_structured_mesh(128)
+        # traced peak only on what assembly allocates; element assembly on
+        # the grid's topology
+        mesh = general(build_structured_mesh(128))
         assert (traced_peak(assemble, mesh, default_load)
                 <= 0.9 * traced_peak(reference_assemble, mesh, default_load))
+
+
+def same_csr(a, b):
+    return all(np.array_equal(getattr(a, part), getattr(b, part))
+               and getattr(a, part).dtype == getattr(b, part).dtype
+               for part in ("data", "indices", "indptr"))
+
+
+class TestGridOperators:
+    """The closed-form grid operators of :func:`assemble`."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 128])
+    def test_element_assembly_bits_where_n_is_a_power_of_two(self, n):
+        # the nodes and areas are exact, so element assembly gives the
+        # closed form bit for bit, +0.0 couplings included
+        mesh = build_structured_mesh(n)
+        for mass in (True, False):
+            for g in (None, default_load):
+                grid = assemble(mesh, g, mass)
+                elements = assemble(general(mesh), g, mass)
+                assert same_csr(grid.A, elements.A), (mass, g)
+                assert np.array_equal(np.signbit(grid.A.data),
+                                      np.signbit(elements.A.data))
+                if mass:
+                    assert same_csr(grid.M, elements.M), g
+                    assert grid.A.indices is grid.M.indices
+                    assert grid.A.indptr is grid.M.indptr
+                else:
+                    assert grid.M is None
+                assert np.array_equal(grid.b, elements.b), (mass, g)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 12])
+    def test_stiffness_is_the_five_point_laplacian(self, n):
+        m = n - 1
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+        laplacian = sp.kronsum(T, T, format="csr")
+        lean = assemble(build_structured_mesh(n), mass=False)
+        full = assemble(build_structured_mesh(n))
+        stored = full.A.copy()
+        stored.eliminate_zeros()
+        for A in (lean.A, stored):
+            assert A.nnz == laplacian.nnz
+            assert (A != laplacian).nnz == 0
+        x = np.random.default_rng(n).standard_normal(m * m)
+        assert np.max(np.abs(lean.grid_solver()(lean.A @ x) - x)) <= 1e-13
+        # M: one value on the diagonal and one off it
+        assert np.unique(full.M.diagonal()).size == 1
+        assert np.unique(full.M.data).size == 2
+
+    def test_imported_grid_gives_the_same_system(self, tmp_path):
+        built = build_structured_mesh(12)
+        export_mesh(built, tmp_path / "grid.txt")
+        imported = import_mesh(tmp_path / "grid.txt")
+        assert imported.grid_n == 12
+        for mass in (True, False):
+            a, b = (assemble(mesh, default_load, mass)
+                    for mesh in (built, imported))
+            for name in ("A", "M") if mass else ("A",):
+                assert same_csr(getattr(a, name), getattr(b, name)), name
+            assert np.array_equal(a.b, b.b)
+
+    def test_grid_assembles_no_element(self, monkeypatch):
+        def no_elements(*args, **kwargs):
+            raise AssertionError("element assembly on the grid")
+
+        monkeypatch.setattr(fem, "_assemble_nodes", no_elements)
+        system = assemble(build_structured_mesh(16), default_load)
+        assert system.A.shape == system.M.shape == (225, 225)
 
 
 INCIDENCE_MESHES = (
