@@ -24,6 +24,7 @@ __all__ = [
     "OracleLimitError",
     "weighted_l0",
     "weighted_l1",
+    "unselected_sum",
     "greedy_order",
     "largest_k_greedy",
     "complete_selection",
@@ -128,6 +129,14 @@ def _selection(indices, absx, lam, exact):
     value = float(lam[idx] @ absx[idx]) if idx.size else 0.0
     weight = float(lam[idx].sum()) if idx.size else 0.0
     return KSelection(indices=idx, value=value, weight=weight, exact=exact)
+
+
+def unselected_sum(x, space: DiscreteMeasureSpace, selection: KSelection):
+    """The gap ``l1 - |x|_K`` as the weighted L1 norm off the selection: never
+    negative, and 0 when the selection holds every atom with nonzero |x_i|."""
+    rest = np.abs(_check_dims(x, space))
+    rest[selection.indices] = 0.0
+    return float(space.weights @ rest)
 
 
 def _by_magnitude(absx, floor):

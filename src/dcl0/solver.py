@@ -20,8 +20,8 @@ from . import dc
 from .fem import FemSystem, w_of
 from .measures import (BUDGET_RTOL, DiscreteMeasureSpace, KSelection,
                        complete_selection, greedy_order, largest_k_auto,
-                       largest_k_greedy, subgradient_largest_k, weighted_l0,
-                       weighted_l1)
+                       largest_k_greedy, subgradient_largest_k,
+                       unselected_sum, weighted_l0)
 from .problems import ProblemDef
 from .ssn import SSN_TOL, L1Weights, SsnError, ssn_solve
 
@@ -115,7 +115,8 @@ class L0Solution:
 
     def max_ascent_at_target(self, K):
         """Largest objective increase between consecutive iterations whose
-        budget already equals the target K; ``perfbench/ops.py`` reads it."""
+        budget already equals the target K; acceptance criterion 12 and
+        ``perfbench/ops.py`` read it."""
         vals = [row.objective for row in self.history if row.K == K]
         if len(vals) < 2:
             return 0.0
@@ -207,7 +208,7 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
     def objective(u_full, k):
         budget = budgets[min(k + 1, steps)]
         w, sel = selection_at(u_full, budget)
-        gap = weighted_l1(w, elems) - sel.value
+        gap = unselected_sum(w, elems, sel)
         value = problem.smooth_value(u_full) + cfg.rho * gap
         if k >= 0:
             res = ssn_results[k]
@@ -233,12 +234,12 @@ def solve_l0_penalized(problem: ProblemDef, system: FemSystem,
 
 def support_metrics(u, system: FemSystem, K):
     """``(l0, gap, selection)`` of the element sums ``w`` of a nodal field:
-    support measure, gap ``l1 - |w|_K`` and the largest-K selection (exact
-    where an oracle applies, else greedy), so ``l1 = gap + selection.value``."""
+    support measure, gap ``l1 - |w|_K`` (:func:`unselected_sum`) and the
+    largest-K selection (exact where an oracle applies, else greedy)."""
     elems = DiscreteMeasureSpace(system.elem_measure)
     w = w_of(u, system)
     sel = largest_k_auto(w, elems, K)
-    return weighted_l0(w, elems), weighted_l1(w, elems) - sel.value, sel
+    return weighted_l0(w, elems), unselected_sum(w, elems, sel), sel
 
 
 def scaled_gradient(grad_full, system: FemSystem):

@@ -38,7 +38,24 @@ counts 1 and 2 these cells moved, and ``f``, ``l0`` and
 - iteration rows 0 and 1, ``gap``: 1.7763568394e-15 -> 0;
 - iteration rows 0 and 1, ``objective`` (carries rho * gap):
   0.0205245133041 -> 0.0205227369472, now equal to the summary ``f``;
-- iteration rows 0 and 1, ``ssn_residual``: 2.71050543121e-20 -> 0."""
+- iteration rows 0 and 1, ``ssn_residual``: 2.71050543121e-20 -> 0.
+
+The texts of ``poisson``, ``poisson_schedule``,
+``poisson_sign_of_load_schedule``, ``poisson_mesh_file_schedule`` and
+``sparsa`` were re-recorded once the gap became the sum over the unselected
+elements (``dcl0.measures.unselected_sum``) instead of the difference
+``l1 - |w|_K`` of two nearly equal sums.  Iterates did not change; only
+these cells moved:
+
+- every summary and iteration ``gap``: values from -6.9e-18 to 1.4e-17
+  (``sparsa``: -8.67361737988e-19) -> 0;
+- the iteration ``objective`` cells of the rows whose gap was not 0, by
+  rho times the old gap; each row at the target budget now equals the
+  summary ``f``.
+
+``f``, ``l0``, ``ssn_residual``, ``dc_iters`` and ``ssn_iters`` kept their
+digits, and ``control``, ``sweep`` and ``poisson_zero_start_plus`` did not
+move."""
 
 import numpy as np
 import pytest
@@ -103,31 +120,31 @@ ZERO_FIELD = "zero-16.txt"
 CLI_PINNED = {
     "poisson": (["poisson", "--n", "16"], """\
 n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode
-16,0.25,1000000000,-0.00540525303131,0.2421875,8.67361737988e-19,2,1,exact
+16,0.25,1000000000,-0.00540525303131,0.2421875,0,2,1,exact
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
-0,0.25,-0.00540525216395,8.67361737988e-19,1,3.37825984099e-17
-1,0.25,-0.00540525216395,8.67361737988e-19,0,3.37825984099e-17
+0,0.25,-0.00540525303131,0,1,3.37825984099e-17
+1,0.25,-0.00540525303131,0,0,3.37825984099e-17
 """),
     "poisson_schedule": (["poisson", "--n", "16", "--schedule", "0.9"], """\
 n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
-16,0.25,1000000000,-0.0168219145974,0.248046875,1.04083408559e-17,14,13,exact,0.9,14
+16,0.25,1000000000,-0.0168219145974,0.248046875,0,14,13,exact,0.9,14
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
-0,0.9,-0.032025676687,6.93889390391e-18,1,1.09227429817e-16
+0,0.9,-0.0320256836259,0,1,1.09227429817e-16
 1,0.81,-0.0312158281987,0,1,1.10613318981e-16
-2,0.729,-0.0290112986835,6.93889390391e-18,1,1.05040251633e-16
-3,0.6561,-0.0273618345285,1.38777878078e-17,1,9.94925494628e-17
-4,0.59049,-0.0258276784497,-6.93889390391e-18,1,8.80784651749e-17
-5,0.531441,-0.024706955126,6.93889390391e-18,1,8.00008972591e-17
+2,0.729,-0.0290113056224,0,1,1.05040251633e-16
+3,0.6561,-0.0273618484063,0,1,9.94925494628e-17
+4,0.59049,-0.0258276715108,0,1,8.80784651749e-17
+5,0.531441,-0.0247069620649,0,1,8.00008972591e-17
 6,0.4782969,-0.0235899263743,0,1,7.71232871133e-17
-7,0.43046721,-0.0230346932436,-3.46944695195e-18,1,7.79383767329e-17
-8,0.387420489,-0.0225832472494,-6.93889390391e-18,1,7.63783302037e-17
+7,0.43046721,-0.0230346897741,0,1,7.79383767329e-17
+8,0.387420489,-0.0225832403105,0,1,7.63783302037e-17
 9,0.3486784401,-0.0215829070882,0,1,9.03337574988e-17
-10,0.31381059609,-0.0210439484233,-3.46944695195e-18,1,8.48575057051e-17
-11,0.282429536481,-0.018554452572,-6.93889390391e-18,1,7.054216275e-17
-12,0.254186582833,-0.0168219041891,1.04083408559e-17,1,7.6870469247e-17
-13,0.25,-0.0168219041891,1.04083408559e-17,0,7.6870469247e-17
+10,0.31381059609,-0.0210439449538,0,1,8.48575057051e-17
+11,0.282429536481,-0.0185544456331,0,1,7.054216275e-17
+12,0.254186582833,-0.0168219145974,0,1,7.6870469247e-17
+13,0.25,-0.0168219145974,0,0,7.6870469247e-17
 """),
     # the zero-atom completion from a zero start
     "poisson_zero_start_plus": (
@@ -144,17 +161,17 @@ k,K_k,objective,gap,newton_iters,ssn_residual
         ["poisson", "--n", "16", "--zero-sign", "sign_of_load",
          "--schedule", "0.8"], """\
 n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
-16,0.25,1000000000,-0.0166544117241,0.248046875,1.04083408559e-17,8,7,exact,0.8,7
+16,0.25,1000000000,-0.0166544117241,0.248046875,0,8,7,exact,0.8,7
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
-0,0.8,-0.0290596217563,6.93889390391e-18,1,1.101457497e-16
+0,0.8,-0.0290596286952,0,1,1.101457497e-16
 1,0.64,-0.0244742065716,0,1,8.07646934133e-17
-2,0.512,-0.0211645518404,-3.46944695195e-18,1,7.11196958111e-17
+2,0.512,-0.0211645483709,0,1,7.11196958111e-17
 3,0.4096,-0.0190247148413,0,1,5.982910126e-17
-4,0.32768,-0.0183333222848,-3.46944695195e-18,1,5.88401223791e-17
-5,0.262144,-0.0171692634271,-3.46944695195e-18,1,5.78602446516e-17
-6,0.25,-0.0166544013157,1.04083408559e-17,1,6.42374919274e-17
-7,0.25,-0.0166544013157,1.04083408559e-17,0,6.42374919274e-17
+4,0.32768,-0.0183333188153,0,1,5.88401223791e-17
+5,0.262144,-0.0171692599577,0,1,5.78602446516e-17
+6,0.25,-0.0166544117241,0,1,6.42374919274e-17
+7,0.25,-0.0166544117241,0,0,6.42374919274e-17
 """),
     "control": (["control", "--n", "8"], """\
 n,K,rho,alpha,beta,f,l0,gap,tracking_error,dc_iters,ssn_iters,selection_mode
@@ -166,7 +183,7 @@ k,K_k,objective,gap,newton_iters,ssn_residual
 """),
     "sparsa": (["sparsa", "--n", "8"], """\
 n,K,beta,f,l0,gap,iters
-8,0.25,4.36,-0.0046080898268,0.234375,-8.67361737988e-19,13
+8,0.25,4.36,-0.0046080898268,0.234375,0,13
 """, None),
     # the warm-started second solve runs with no schedule steps to wait for
     "sweep": (["sweep", "--n", "8", "--rhos", "1e3,1e9"], """\
@@ -178,23 +195,23 @@ n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode
     "poisson_mesh_file_schedule": (
         ["poisson", "--mesh-file", MESH_FILE, "--schedule", "0.9"], """\
 n,K,rho,f,l0,gap,dc_iters,ssn_iters,selection_mode,schedule_lambda,sched_steps
-,0.25,1000000000,-0.0156501047746,0.249518728356,-3.46944695195e-18,14,17,greedy,0.9,14
+,0.25,1000000000,-0.0156501047746,0.249518728356,0,14,17,greedy,0.9,14
 """, """\
 k,K_k,objective,gap,newton_iters,ssn_residual
-0,0.9,-0.0303976412577,-6.93889390391e-18,2,1.10311910144e-16
-1,0.81,-0.0295835754928,-6.93889390391e-18,2,1.22469358124e-16
-2,0.729,-0.02729348618,6.93889390391e-18,2,1.16966070002e-16
+0,0.9,-0.0303976343188,0,2,1.10311910144e-16
+1,0.81,-0.0295835685539,0,2,1.22469358124e-16
+2,0.729,-0.0272934931189,0,2,1.16966070002e-16
 3,0.6561,-0.0251916551483,0,1,6.23716924926e-17
 4,0.59049,-0.0243060314762,0,2,1.0432887161e-16
 5,0.531441,-0.0224760938131,0,1,1.19384395567e-16
-6,0.4782969,-0.0216342254636,3.46944695195e-18,1,1.17798453778e-16
-7,0.43046721,-0.0209614435942,6.93889390391e-18,1,1.16965266009e-16
-8,0.387420489,-0.0206646570171,3.46944695195e-18,1,1.16552893381e-16
-9,0.3486784401,-0.0203634105203,6.93889390391e-18,1,1.16449572052e-16
+6,0.4782969,-0.021634228933,0,1,1.17798453778e-16
+7,0.43046721,-0.0209614505331,0,1,1.16965266009e-16
+8,0.387420489,-0.0206646604865,0,1,1.16552893381e-16
+9,0.3486784401,-0.0203634174592,0,1,1.16449572052e-16
 10,0.31381059609,-0.0191441046032,0,1,6.92369843523e-17
-11,0.282429536481,-0.0176077504994,3.46944695195e-18,1,6.94322935819e-17
-12,0.254186582833,-0.015650108244,-3.46944695195e-18,1,6.78984153304e-17
-13,0.25,-0.015650108244,-3.46944695195e-18,0,6.78984153304e-17
+11,0.282429536481,-0.0176077539689,0,1,6.94322935819e-17
+12,0.254186582833,-0.0156501047746,0,1,6.78984153304e-17
+13,0.25,-0.0156501047746,0,0,6.78984153304e-17
 """),
 }
 

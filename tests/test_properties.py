@@ -1,5 +1,7 @@
 """Property tests of the largest-K oracles on small discrete measure spaces
-(at most 12 atoms, integer and float atom measures)."""
+(at most 12 atoms, integer and float atom measures; up to 64 atoms with
+integer measures, enough for a dot product to round differently with and
+without its zero terms)."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from dcl0.measures import (BUDGET_RTOL, DiscreteMeasureSpace, _exact_dp,
                            _exact_enumerate, largest_k_auto, largest_k_exact,
                            largest_k_greedy, largest_k_relaxed,
-                           subgradient_largest_k, weighted_l0, weighted_l1)
+                           subgradient_largest_k, unselected_sum, weighted_l0,
+                           weighted_l1)
+from oracles import reformulation_gap
 
 #: deterministic examples, no example database, no per-example deadline
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -23,10 +27,10 @@ ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 100.0),
 
 
 @st.composite
-def instances(draw, integer_weights=None):
-    """``(x, space, budget)`` with at most 12 atoms; the budget is a share
-    of the total measure."""
-    n = draw(st.integers(1, 12))
+def instances(draw, integer_weights=None, atoms=12):
+    """``(x, space, budget)`` with at most ``atoms`` atoms; the budget is a
+    share of the total measure."""
+    n = draw(st.integers(1, atoms))
     if integer_weights is None:
         integer_weights = draw(st.booleans())
     if integer_weights:
@@ -92,6 +96,24 @@ def test_gap_vanishes_exactly_when_support_fits(instance):
     else:
         # some supported atom stays out: at least its share of l1 is lost
         assert gap > 0.0
+
+
+@PROPERTY
+@given(st.one_of(instances(), instances(integer_weights=True, atoms=64)))
+def test_unselected_sum_is_the_gap(instance):
+    x, space, budget = instance
+    l1 = weighted_l1(x, space)
+    scale = RTOL * max(l1, 1.0)
+    greedy = largest_k_greedy(x, space, budget)
+    exact = largest_k_exact(x, space, budget)
+    # the reference is the difference l1 - value, of the selection taken
+    for sel, reference in ((greedy, l1 - greedy.value),
+                           (exact, reformulation_gap(x, space, budget))):
+        gap = unselected_sum(x, space, sel)
+        assert gap >= 0.0
+        if np.isin(np.flatnonzero(x), sel.indices).all():
+            assert gap == 0.0
+        assert abs(gap - reference) <= scale
 
 
 @PROPERTY

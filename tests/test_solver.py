@@ -7,8 +7,8 @@ from conftest import jittered_mesh
 from dcl0 import solver, ssn
 from dcl0.dc import DcError
 from dcl0.fem import assemble, build_structured_mesh, w_of
-from dcl0.measures import (DiscreteMeasureSpace, largest_k_auto, weighted_l0,
-                           weighted_l1)
+from dcl0.measures import (DiscreteMeasureSpace, largest_k_auto,
+                           unselected_sum, weighted_l0, weighted_l1)
 from dcl0.problems import default_load, poisson_prototype
 from dcl0.solver import (L0PenaltyConfig, optimality_report, penalty_sweep,
                          solve_l0_penalized, start_point, support_metrics)
@@ -277,9 +277,28 @@ class TestSupportMetrics:
         assert not selection.exact
         assert np.array_equal(selection.indices, expected.indices)
         assert l0 == weighted_l0(w, elems)
-        assert gap == weighted_l1(w, elems) - expected.value
+        assert gap == unselected_sum(w, elems, expected)
         assert gap + selection.value == pytest.approx(weighted_l1(w, elems),
                                                       rel=1e-15)
+
+    # runs on which the difference l1 - |w|_K went negative: poisson --n 16
+    # --schedule 0.9, the pinned sign_of_load schedule and two jittered runs
+    @pytest.mark.parametrize("mesh, cfg", [
+        (lambda: build_structured_mesh(16),
+         L0PenaltyConfig(K=0.25, schedule_lambda=0.9)),
+        (lambda: build_structured_mesh(16),
+         L0PenaltyConfig(K=0.25, schedule_lambda=0.8,
+                         zero_sign_policy="sign_of_load")),
+        (lambda: jittered_mesh(12, seed=7),
+         L0PenaltyConfig(K=0.25, schedule_lambda=0.9)),
+        (lambda: jittered_mesh(16, seed=1), L0PenaltyConfig(K=0.25)),
+    ], ids=["grid-schedule", "grid-sign-of-load", "jitter-schedule",
+            "jitter"])
+    def test_no_reported_gap_is_negative(self, mesh, cfg):
+        system = assemble(mesh(), default_load, mass=False)
+        sol = solve_l0_penalized(poisson_prototype(system), system, cfg)
+        assert sol.gap >= 0.0
+        assert min(row.gap for row in sol.history) >= 0.0
 
 
 class TestCallCounts:

@@ -83,6 +83,13 @@ def test_one_factorization_setup():
     assert source_calls("splu") == [("ssn.py", "factor_spd")]
 
 
+def test_one_gap():
+    # the gap is the unselected sum, never the difference l1 - |w|_K
+    assert source_calls("weighted_l1") == []
+    assert source_calls("unselected_sum") == [("solver.py", "objective"),
+                                              ("solver.py", "support_metrics")]
+
+
 def test_the_check_sees_splu_calls():
     tree = ast.parse("import scipy.sparse.linalg as spla\n"
                      "from scipy.sparse.linalg import splu\n"
@@ -192,6 +199,9 @@ UNREAD_EXPORTS = {
     ("fem.py", "export_mesh"): "the writer of the mesh format import_mesh reads",
     ("measures.py", "largest_k_relaxed"): "the upper bound that certifies a "
                                           "selection on irregular meshes",
+    ("measures.py", "weighted_l1"): "the l1 of the criteria's gap scales, of "
+                                    "the reference gap in tests/oracles.py "
+                                    "and of perfbench's field check",
 }
 
 
