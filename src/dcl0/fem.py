@@ -13,18 +13,22 @@ triangulation.  Vectors crossing module boundaries are full length with
 zeros on the boundary.
 A mesh knows whether it is :func:`build_structured_mesh`'s grid
 (``TriMesh.grid_n``): built by it, or imported from a file that holds
-exactly its nodes and triangles.  On that grid the stiffness and mass
-matrices are built in closed form, with no element loop, and only the load
-is assembled element by element; the stiffness is then exactly the 5-point
-Laplacian ``T (+) T``.  Stiffness solves use dense BLAS-3 products in the
-2-D sine basis on that grid (O(m^3) for its m x m interior nodes, yet
-faster than an FFT up to about m = 1000), and a cached sparse
-factorization on any other mesh.
+exactly its nodes and triangles.  On that grid nothing goes through the
+element list: the mesh, the element-node arrays, the load, the node sums
+and :func:`w_of` come from fixed shifts of the ``(n+1) x (n+1)`` node and
+``n x n x 2`` element arrays, bit for bit what the element-list code of
+every other mesh gives (``_validate`` still checks every imported mesh),
+and the stiffness and mass matrices are built in closed form; the
+stiffness is then exactly the 5-point Laplacian ``T (+) T``.  Stiffness
+solves use dense BLAS-3 products in the 2-D sine basis on that grid
+(O(m^3) for its m x m interior nodes, yet faster than an FFT up to about
+m = 1000), and a cached sparse factorization on any other mesh.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -54,7 +58,10 @@ class MeshFormatError(ValueError):
 class TriMesh:
     """Conforming triangulation: node coordinates, triangle connectivity and
     boundary node set.  ``grid_n`` is n where the nodes and triangles are
-    exactly those of ``build_structured_mesh(n)``, else None."""
+    exactly those of ``build_structured_mesh(n)``, else None: set, it
+    vouches for that, since :class:`FemSystem`'s element arrays and node
+    sums, :func:`w_of` and :func:`_load` then work from the grid's index
+    shifts and never read ``triangles``."""
 
     nodes: np.ndarray           # (N, 2) coordinates
     triangles: np.ndarray       # (m, 3) node indices, positive orientation
@@ -172,14 +179,22 @@ def _grid_size(nodes, triangles):
 def build_structured_mesh(n: int) -> TriMesh:
     """Uniform n x n grid on the unit square, each cell split along the
     lower-left to upper-right diagonal: (n+1)^2 nodes, 2 n^2 triangles
-    (see :func:`_grid_layout`); its ``grid_n`` is n."""
+    (see :func:`_grid_layout`); its ``grid_n`` is n.
+
+    Built as :func:`_validate` would build it, with no check: both
+    triangles of a cell have its legs ``d_i = x_(i+1) - x_i`` and ``d_j``,
+    so their area is :func:`_signed_areas`' with its zero terms dropped,
+    bit for bit, and the boundary nodes are the grid's frame."""
+    n = operator.index(n)
     if n < 2:
         raise ValueError("need at least a 2 x 2 grid")
-    # the layout's temporaries stay alive through _validate, as when it was
-    # built inline: freed before it, they left 13 MB more resident after the
-    # build at n = 384 and raised the Poisson solve's peak RSS by 1.5 MB
-    layout = _grid_layout(n)
-    return _validate(next(layout), next(layout), grid_n=n)
+    nodes, triangles = _grid_layout(n)
+    d = np.diff(np.arange(n + 1) / n)
+    frame = np.ones((n + 1, n + 1), dtype=bool)
+    frame[1:-1, 1:-1] = False
+    return TriMesh(nodes=nodes, triangles=triangles,
+                   boundary_nodes=np.flatnonzero(frame),
+                   areas=np.repeat(0.5 * (d[:, None] * d), 2), grid_n=n)
 
 
 def export_mesh(mesh: TriMesh, path):
@@ -495,8 +510,16 @@ class FemSystem:
     _grid: _GridLaplacianSolver | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        mesh = self.mesh
-        self.elem_nodes = np.sort(mesh.triangles, axis=1).astype(np.int32)
+        mesh, n = self.mesh, self.mesh.grid_n
+        if n is None:
+            self.elem_nodes = np.sort(mesh.triangles, axis=1).astype(np.int32)
+        else:
+            # the grid's triangles sorted: lower [v00, v00+1, v00+n+2] and
+            # upper [v00, v00+n+1, v00+n+2] of the cell with corner v00
+            i = np.arange(n, dtype=np.int32)
+            v00 = (i[:, None] * (n + 1) + i).reshape(-1, 1, 1)
+            steps = np.array([[0, 1, n + 2], [0, n + 1, n + 2]], np.int32)
+            self.elem_nodes = (v00 + steps).reshape(-1, 3)
         self.elem_measure = mesh.areas
         self.patch_measure = self.node_sums(mesh.areas)
         self.basis_integral = self.patch_measure / 3.0
@@ -527,11 +550,17 @@ class FemSystem:
     def node_sums(self, elem_values):
         """Per node, the sum of ``elem_values`` over its incident elements:
         ``incidence' x`` for the 0/1 element-by-node incidence matrix, bit
-        for bit, since bincount adds each node's terms in element order, as
-        the sparse product does."""
-        return np.bincount(self.elem_nodes.ravel(),
-                           weights=np.repeat(elem_values, 3),
-                           minlength=self.mesh.num_nodes)
+        for bit, since bincount (or, on the grid, :func:`_grid_node_sums`)
+        adds each node's terms in element order, as the sparse product
+        does."""
+        n = self.mesh.grid_n
+        if n is None:
+            return np.bincount(self.elem_nodes.ravel(),
+                               weights=np.repeat(elem_values, 3),
+                               minlength=self.mesh.num_nodes)
+        cells = np.asarray(elem_values, dtype=float).reshape(n, n, 2)
+        lower, upper = cells[..., 0], cells[..., 1]
+        return _grid_node_sums((lower, upper, upper, lower, lower, upper))
 
     def grid_solver(self):
         """Sine-basis solver of ``A x = rhs`` on
@@ -561,15 +590,56 @@ class FemSystem:
 _CHUNK = 1 << 13
 
 
+def _grid_node_sums(terms):
+    """Node sums of :func:`build_structured_mesh`'s n x n grid from six
+    ``(n, n)`` cell arrays, one per triangle of a node's patch in triangle
+    order: a node's terms in the lower and upper triangles of the cell
+    below left, the upper triangle of the cell below, the lower of the cell
+    to the left, then the lower and upper of the cell whose corner v00 it
+    is.  Each node's terms are added to 0.0 in that order, as bincount and
+    ``np.add.at`` add them, so the sums are theirs bit for bit."""
+    n = terms[0].shape[0]
+    out = np.zeros((n + 1, n + 1))
+    rest, head = slice(1, None), slice(None, -1)
+    for rows, cols, term in zip((rest, rest, rest, head, head, head),
+                                (rest, rest, head, rest, head, head), terms):
+        out[rows, cols] += term
+    return out.ravel()
+
+
 def _load(mesh: TriMesh, g=None):
     """Load vector of every node, boundary included, for the source ``g``
     (zero when None): the three-point edge-midpoint rule on each triangle
     (exact for quadratic integrands), each node's terms added in triangle
-    order."""
+    order.  On the grid ``g`` is evaluated once per edge, and the per-vertex
+    terms are summed by :func:`_grid_node_sums`."""
     nodes, tris, areas = mesh.nodes, mesh.triangles, mesh.areas
     b_full = np.zeros(mesh.num_nodes)
     if g is None:
         return b_full
+    n = mesh.grid_n
+    if n is not None:
+        x, y = (nodes[:, k].reshape(n + 1, n + 1) for k in (0, 1))
+
+        def on_edges(a, b):
+            # g at the midpoints of the edges from nodes [a] to nodes [b]
+            mid_x, mid_y = 0.5 * (x[a] + x[b]), 0.5 * (y[a] + y[b])
+            return np.broadcast_to(np.asarray(g(mid_x, mid_y), dtype=float),
+                                   mid_x.shape)
+
+        head, rest, every = slice(None, -1), slice(1, None), slice(None)
+        across = on_edges((every, head), (every, rest))  # (n+1, n)
+        up = on_edges((head, every), (rest, every))      # (n, n+1)
+        diag = on_edges((head, head), (rest, rest))      # (n, n)
+        bottom, top = across[:-1], across[1:]
+        left, right = up[:, :-1], up[:, 1:]
+        cells = areas.reshape(n, n, 2) / 6.0
+        lower, upper = cells[..., 0], cells[..., 1]
+        # lower [v00, v10, v11], upper [v00, v11, v01]: a vertex gets the
+        # midpoint values of its two edges, as in the loop below
+        return _grid_node_sums(((right + diag) * lower, (diag + top) * upper,
+                                (top + left) * upper, (bottom + right) * lower,
+                                (bottom + diag) * lower, (diag + left) * upper))
     for start in range(0, mesh.num_triangles, _CHUNK):
         t = slice(start, start + _CHUNK)
         x, y = nodes[:, 0][tris[t].T], nodes[:, 1][tris[t].T]  # vertex i
@@ -786,6 +856,14 @@ def w_of(u, system: FemSystem):
     u = np.asarray(u, dtype=float)
     if u.size != system.mesh.num_nodes:
         raise ValueError("expected a full-length nodal vector")
+    n = system.mesh.grid_n
+    if n is not None:
+        a = np.abs(u).reshape(n + 1, n + 1)
+        w = np.empty((n, n, 2))
+        np.add(a[:-1, :-1], a[:-1, 1:], out=w[..., 0])  # v00 + v10
+        np.add(a[:-1, :-1], a[1:, :-1], out=w[..., 1])  # v00 + v01
+        w += a[1:, 1:, None]                             # + v11
+        return w.ravel()
     a, nodes = np.abs(u), system.elem_nodes
     w = np.take(a, nodes[:, 0])
     w += np.take(a, nodes[:, 1])

@@ -16,6 +16,7 @@ from dcl0.fem import (MeshFormatError, _assemble_nodes, _boundary_nodes,
                       import_mesh, read_field, write_field, w_of)
 from dcl0.measures import DiscreteMeasureSpace, weighted_l0, weighted_l1
 from dcl0.problems import default_load, poisson_prototype
+from dcl0.solver import L0PenaltyConfig, solve_l0_penalized
 from dcl0.ssn import factor_spd
 
 
@@ -68,6 +69,25 @@ class TestStructuredMesh:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             build_structured_mesh(1)
+
+    @pytest.mark.parametrize("n", [3.0, 3.5])
+    def test_rejects_a_non_integer_size(self, n):
+        with pytest.raises(TypeError, match="integer"):
+            build_structured_mesh(n)
+
+    def test_grid_runs_no_mesh_check(self, monkeypatch):
+        # the grid is built, assembled and solved with neither the checks
+        # of an imported mesh nor their edge sort for the boundary
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid went through the mesh checks")
+
+        monkeypatch.setattr(fem, "_validate", refuse)
+        monkeypatch.setattr(fem, "_boundary_nodes", refuse)
+        system = assemble(build_structured_mesh(16), default_load)
+        sol = solve_l0_penalized(poisson_prototype(system), system,
+                                 L0PenaltyConfig(K=0.25))
+        assert sol.status == "converged_fixed_point"
+        assert np.count_nonzero(sol.u) > 0
 
     def test_triangles_match_cell_loop(self):
         # reference: cells row by row, two triangles per cell, so that
@@ -390,9 +410,12 @@ class TestAssembly:
         assert np.all(counts == 3)
 
     def test_patch_measure_sums_incident_elements(self):
-        system = assemble(build_structured_mesh(4))
-        expected = incidence_of(system.mesh).T @ system.elem_measure
-        assert np.array_equal(system.patch_measure, expected)
+        # the grid's stencil, and bincount on the grid's topology
+        grid = build_structured_mesh(4)
+        for mesh in (grid, general(grid)):
+            system = assemble(mesh)
+            expected = incidence_of(mesh).T @ system.elem_measure
+            assert np.array_equal(system.patch_measure, expected)
 
     def test_basis_integral_third_of_patch(self):
         for n in (4, 8, 16):
@@ -709,19 +732,24 @@ class TestGridOperators:
 
 INCIDENCE_MESHES = (
     [pytest.param(("grid", n, None), id=f"grid-{n}") for n in (2, 7, 64)]
+    + [pytest.param(("general", n, None), id=f"general-{n}") for n in (7, 64)]
     + [pytest.param(("jitter", n, seed), id=f"jitter-{n}-seed{seed}")
        for n in (24, 48) for seed in (0, 1, 2)])
 
 
 class TestIncidenceProducts:
     """``w_of``, the node sums and ``patch_measure`` against the products
-    with the CSR incidence matrix they replace, bit for bit."""
+    with the CSR incidence matrix they replace, bit for bit: the grid's
+    stencil, and ``np.take`` and ``bincount`` on the grid's topology
+    (``general``) and on jittered meshes."""
 
     @pytest.mark.parametrize("case", INCIDENCE_MESHES)
     def test_match_incidence_products(self, case):
         kind, n, seed = case
-        mesh = (build_structured_mesh(n) if kind == "grid"
-                else jittered_mesh(n, seed=seed))
+        mesh = (jittered_mesh(n, seed=seed) if kind == "jitter"
+                else build_structured_mesh(n))
+        if kind == "general":
+            mesh = general(mesh)
         system = assemble(mesh, default_load)
         incidence = incidence_of(mesh)
         rng = np.random.default_rng(0 if seed is None else seed)
@@ -1059,6 +1087,20 @@ class TestGridSize:
         assert mesh.grid_n == n
         assert layouts == [((n + 1) ** 2, 2), (2 * n * n, 3)]
         assert assemble(mesh).grid_solver().m == n - 1
+
+    def test_imported_grid_is_validated(self, tmp_path, monkeypatch):
+        # a file comes from outside the program: even the grid's is checked
+        path = tmp_path / "mesh.txt"
+        export_mesh(build_structured_mesh(4), path)
+        validated, original = [], fem._validate
+
+        def recorded(nodes, triangles, grid_n=None):
+            validated.append(grid_n)
+            return original(nodes, triangles, grid_n)
+
+        monkeypatch.setattr(fem, "_validate", recorded)
+        assert import_mesh(path).grid_n == 4
+        assert validated == [4]
 
     def test_cached_solver(self):
         system = assemble(build_structured_mesh(8))

@@ -90,6 +90,36 @@ def test_one_gap():
                                               ("solver.py", "support_metrics")]
 
 
+def grid_size_reads(tree):
+    """Lines that name ``grid_n``: as an attribute, a keyword argument or a
+    string (``getattr(mesh, "grid_n")``)."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Attribute)
+                       and node.attr == "grid_n")
+                   or (isinstance(node, ast.keyword) and node.arg == "grid_n")
+                   or (isinstance(node, ast.Constant)
+                       and node.value == "grid_n")})
+
+
+def test_grid_is_known_in_fem_only():
+    # fem's stencils trust grid_n; any other module asks
+    # FemSystem.grid_solver() whether the mesh is the grid
+    found = [path.name for path in sorted(SOURCE.glob("*.py"))
+             if grid_size_reads(ast.parse(path.read_text()))]
+    assert found == ["fem.py"]
+
+
+def test_the_check_sees_grid_size_reads():
+    tree = ast.parse("if mesh.grid_n is None:\n"
+                     "    pass\n"
+                     "n = system.mesh.grid_n + 1\n"
+                     "m = TriMesh(nodes, tris, b, a, grid_n=4)\n"
+                     "k = getattr(mesh, 'grid_n')\n"
+                     "grid_n = 3\n"
+                     "name = 'grid_n is n'\n")
+    assert grid_size_reads(tree) == [1, 3, 4, 5]
+
+
 def test_the_check_sees_splu_calls():
     tree = ast.parse("import scipy.sparse.linalg as spla\n"
                      "from scipy.sparse.linalg import splu\n"
