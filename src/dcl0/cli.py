@@ -12,6 +12,9 @@ of the command is an error.  Exit codes: 0 success, 1 solver failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import itertools
 import sys
 
 from .dc import DcError
@@ -197,21 +200,66 @@ def _summary_row(opts, rho, sol, schedule, settings=(), errors=()):
     return row
 
 
+#: the least sine-basis size m (``--n m+1``) whose products gain from threads
+THREADED_BASIS_M = 191
+
+
+def _openblas_thread_counts():
+    """``(get, set)`` thread-count functions of each OpenBLAS mapped into
+    this process (``/proc/self/maps``); empty where there is none."""
+    paths = set()
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        paths = {line.split(None, 5)[-1].strip() for line in fh
+                 if "openblas" in line.lower()}
+    controls = []
+    for path, prefix, suffix in itertools.product(
+            sorted(paths), ("", "scipy_"), ("", "64_")):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+            get, set_threads = (
+                getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}")
+                for verb in ("get", "set"))
+            get.argtypes, set_threads.argtypes = [], [ctypes.c_int]
+            get.restype, set_threads.restype = ctypes.c_int, None
+            controls.append((get, set_threads))
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run every loaded OpenBLAS on one thread inside the block; each gets
+    its own count back on exit, also after an exception."""
+    with contextlib.ExitStack() as restore:
+        for get, set_threads in _openblas_thread_counts():
+            restore.callback(set_threads, get())
+            set_threads(1)
+        yield
+
+
+def _blas_threads(system):
+    """One BLAS thread for a solve on ``system``, where a second one only
+    costs, unless its grid's sine-basis products gain from the caller's."""
+    grid = system.grid_solver()
+    large = grid is not None and grid.m >= THREADED_BASIS_M
+    return contextlib.nullcontext() if large else _one_blas_thread()
+
+
 def _penalized_runs(opts, system, runs):
     """Solve each ``(problem, settings)`` of ``runs``, one summary row each;
     the last solve writes the iteration CSV and fields and is verified."""
     cfg = _solver_config(opts, rho=opts.rho)
     rows = []
-    for problem, settings in runs:
-        sol = solve_l0_penalized(problem, system, cfg)
-        errors = ({} if problem.tracking_error is None
-                  else {"tracking_error": problem.tracking_error(sol.u)})
-        rows.append(_summary_row(opts, opts.rho, sol, opts.schedule,
-                                 settings, errors))
-    _write_csv(opts.csv, rows)
-    _write_iters(opts.iters_csv, sol)
-    _write_fields(opts, problem, system, sol.u)
-    return 0 if _self_check(opts, system, sol.l0, sol.gap) else 1
+    with _blas_threads(system):
+        for problem, settings in runs:
+            sol = solve_l0_penalized(problem, system, cfg)
+            errors = ({} if problem.tracking_error is None
+                      else {"tracking_error": problem.tracking_error(sol.u)})
+            rows.append(_summary_row(opts, opts.rho, sol, opts.schedule,
+                                     settings, errors))
+        _write_csv(opts.csv, rows)
+        _write_iters(opts.iters_csv, sol)
+        _write_fields(opts, problem, system, sol.u)
+        return 0 if _self_check(opts, system, sol.l0, sol.gap) else 1
 
 
 POISSON_SPEC = {**MESH_SPEC, "rho": (float, 1e9), **DC_SPEC,
@@ -249,25 +297,26 @@ SPARSA_SPEC = {**MESH_SPEC, "u0_file": DC_SPEC["u0_file"], **RUN_OUTPUT_SPEC,
 def cmd_sparsa(opts):
     system = assemble(_mesh_from(opts), default_load, mass=False)
     problem = poisson_prototype(system)
-    given = read_field(opts.u0_file) if opts.u0_file else None
-    # check a given start point even where beta = 0 ignores it
-    u0 = start_point(problem, given)
-    if opts.beta == 0.0:
-        # without the L1 term the answer is the unconstrained minimizer
-        u_full = u0 if given is None else problem.unconstrained_minimizer()
-        iters = 0
-    else:
-        res = sparsa_solve(problem.hessian, problem.q_smooth,
-                           node_l1_weights(system, opts.beta),
-                           system.restrict(u0))
-        u_full, iters = system.expand(res.u), res.iters
-    l0, gap, _ = support_metrics(u_full, system, opts.K)
-    f = problem.smooth_value(u_full)
-    _write_csv(opts.csv, [{"n": _mesh_size(opts), "K": opts.K,
-                           "beta": opts.beta, "f": f, "l0": l0, "gap": gap,
-                           "iters": iters}])
-    _write_fields(opts, problem, system, u_full)
-    return 0 if _self_check(opts, system, l0, gap) else 1
+    with _blas_threads(system):
+        given = read_field(opts.u0_file) if opts.u0_file else None
+        # check a given start point even where beta = 0 ignores it
+        u0 = start_point(problem, given)
+        if opts.beta == 0.0:
+            # without the L1 term the answer is the unconstrained minimizer
+            u_full = u0 if given is None else problem.unconstrained_minimizer()
+            iters = 0
+        else:
+            res = sparsa_solve(problem.hessian, problem.q_smooth,
+                               node_l1_weights(system, opts.beta),
+                               system.restrict(u0))
+            u_full, iters = system.expand(res.u), res.iters
+        l0, gap, _ = support_metrics(u_full, system, opts.K)
+        f = problem.smooth_value(u_full)
+        _write_csv(opts.csv, [{"n": _mesh_size(opts), "K": opts.K,
+                               "beta": opts.beta, "f": f, "l0": l0, "gap": gap,
+                               "iters": iters}])
+        _write_fields(opts, problem, system, u_full)
+        return 0 if _self_check(opts, system, l0, gap) else 1
 
 
 SWEEP_SPEC = {**MESH_SPEC, **DC_SPEC,
@@ -278,8 +327,9 @@ SWEEP_SPEC = {**MESH_SPEC, **DC_SPEC,
 def cmd_sweep(opts):
     system = assemble(_mesh_from(opts), default_load, mass=False)
     problem = poisson_prototype(system)
-    solutions = penalty_sweep(problem, system, _solver_config(opts),
-                              opts.rhos)
+    with _blas_threads(system):
+        solutions = penalty_sweep(problem, system, _solver_config(opts),
+                                  opts.rhos)
     # only the first solve of a sweep runs the schedule: no schedule columns
     _write_csv(opts.csv, [_summary_row(opts, rho, sol, None)
                           for rho, sol in zip(opts.rhos, solutions)])

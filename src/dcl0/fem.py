@@ -403,12 +403,12 @@ class _GridLaplacianSolver:
     inverse and diagonalizes ``T``, so ``V diag(symbol) V`` applies to ``X =
     rhs.reshape(m, m)`` as ``V (symbol * (V X V)) V``: O(m^3) BLAS-3
     products, faster than an O(m^2 log m) FFT sine transform up to about
-    m = 1000 at 2 BLAS threads (m = 500 at one).  The solver holds ``V`` and
-    the symbol ``1 / lam`` of ``A^-1``; ``eigenvalues`` (``lam_kl = s_k +
-    s_l``, ``s_k = 4 sin^2(k pi / 2(m+1))``, built on each read) and
-    ``cosines`` (``cos(k pi / (m+1))``) let callers build other operators
-    of the basis (:meth:`sine_diagonal`); :meth:`mass_sandwich` holds the
-    grid's mass matrix in it.
+    m = 1000 at 2 BLAS threads (500 at one, the CLI's count for m < 191).
+    The solver holds ``V`` and the symbol ``1 / lam`` of ``A^-1``;
+    ``eigenvalues`` (``lam_kl = s_k + s_l``, ``s_k = 4 sin^2(k pi /
+    2(m+1))``, built on each read) and ``cosines`` (``cos(k pi / (m+1))``)
+    let callers build other operators of the basis (:meth:`sine_diagonal`);
+    :meth:`mass_sandwich` holds the grid's mass matrix in it.
     """
 
     def __init__(self, m):

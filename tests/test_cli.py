@@ -1,5 +1,9 @@
 import argparse
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,8 @@ from dcl0.cli import build_parser, main
 from dcl0.fem import (assemble, build_structured_mesh, export_mesh,
                       read_field, write_field)
 from dcl0.problems import default_load, poisson_prototype
+
+from conftest import jittered_mesh
 
 
 def run(*argv):
@@ -739,3 +745,126 @@ class TestExportedGrid:
         assert sorted(grid_files) == sorted(
             arg.split("/")[-1] for arg in extra if arg.startswith("{out}"))
         assert file_files == grid_files
+
+
+def thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+class TestBlasThreads:
+    """The solving commands run every loaded OpenBLAS on one thread, unless
+    the mesh is a grid whose sine basis has at least THREADED_BASIS_M rows,
+    and give each library its own count back."""
+
+    @pytest.fixture
+    def controls(self):
+        # each OpenBLAS at its own count above one, as a caller may set them
+        controls = cli._openblas_thread_counts()
+        if not controls:
+            pytest.skip("no OpenBLAS with thread-count functions is loaded")
+        before = thread_counts(controls)
+        for count, (_, set_threads) in enumerate(controls, 2):
+            set_threads(count)
+        yield controls
+        for (_, set_threads), count in zip(controls, before):
+            set_threads(count)
+
+    def test_one_thread_inside_the_count_back_after(self, controls):
+        caller = thread_counts(controls)
+        with cli._one_blas_thread():
+            assert thread_counts(controls) == [1] * len(controls)
+        assert thread_counts(controls) == caller
+        with pytest.raises(KeyError):
+            with cli._one_blas_thread():
+                assert thread_counts(controls) == [1] * len(controls)
+                raise KeyError
+        assert thread_counts(controls) == caller
+
+    def test_no_library_no_change(self, controls, monkeypatch):
+        caller = thread_counts(controls)
+        monkeypatch.setattr(cli, "_openblas_thread_counts", lambda: [])
+        with cli._one_blas_thread():
+            assert thread_counts(controls) == caller
+
+    def test_finds_nothing_without_maps_or_symbols(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+        assert cli._openblas_thread_counts() == []
+        monkeypatch.undo()
+
+        def no_maps(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(cli, "open", no_maps, raising=False)
+        assert cli._openblas_thread_counts() == []
+        with cli._one_blas_thread():
+            pass
+
+    def test_importing_dcl0_changes_no_thread_count(self):
+        # OpenBLAS caps its start count at the CPUs this process may use
+        if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+            pytest.skip("fewer than 2 CPUs, or no CPU affinity to read")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        script = ("import json, dcl0, dcl0.cli; "
+                  "print(json.dumps([get() for get, _ in "
+                  "dcl0.cli._openblas_thread_counts()]))")
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        counts = json.loads(result.stdout)
+        if not counts:
+            pytest.skip("no OpenBLAS with thread-count functions is loaded")
+        assert counts == [2] * len(counts)
+
+    @pytest.fixture
+    def seen(self, controls, monkeypatch):
+        """The thread counts inside each solve call of a command."""
+        seen = []
+        for name in ("solve_l0_penalized", "penalty_sweep", "sparsa_solve"):
+            def recorded(*args, original=getattr(cli, name)):
+                seen.append(thread_counts(controls))
+                return original(*args)
+            monkeypatch.setattr(cli, name, recorded)
+        return seen
+
+    @pytest.mark.parametrize("command", ["poisson", "control", "sparsa",
+                                         "sweep"])
+    def test_pins_a_small_grid(self, tmp_path, controls, seen, command):
+        caller = thread_counts(controls)
+        assert run(command, "--n", "32", "--csv", str(tmp_path / "r.csv")) == 0
+        assert seen == [[1] * len(controls)]
+        assert thread_counts(controls) == caller
+
+    def test_pins_an_imported_mesh(self, tmp_path, controls, seen):
+        mesh_path = tmp_path / "mesh.txt"
+        export_mesh(jittered_mesh(12, seed=3), mesh_path)
+        assert run("control", "--mesh-file", str(mesh_path),
+                   "--csv", str(tmp_path / "r.csv")) == 0
+        assert seen == [[1] * len(controls)]
+
+    @pytest.mark.parametrize("n, pinned", [(31, True), (32, False)])
+    def test_leaves_a_large_basis_alone(self, tmp_path, monkeypatch,
+                                        controls, seen, n, pinned):
+        # the grid of --n 32 has a sine basis of 31 rows
+        monkeypatch.setattr(cli, "THREADED_BASIS_M", 31)
+        caller = thread_counts(controls)
+        assert run("control", "--n", str(n),
+                   "--csv", str(tmp_path / "r.csv")) == 0
+        assert seen == [[1] * len(controls) if pinned else caller]
+        assert thread_counts(controls) == caller
+
+    def test_outputs_do_not_depend_on_the_caller_threads(self, tmp_path,
+                                                          controls):
+        outputs = []
+        for count in (1, 2):
+            for _, set_threads in controls:
+                set_threads(count)
+            out = tmp_path / str(count)
+            out.mkdir()
+            assert run("control", "--n", "128", "--csv", str(out / "r.csv"),
+                       "--iters-csv", str(out / "iters.csv"),
+                       "--solution-out", str(out / "u.txt"),
+                       "--multiplier-out", str(out / "mu.txt")) == 0
+            outputs.append({path.name: path.read_bytes()
+                            for path in out.iterdir()})
+        assert outputs[0] == outputs[1]
